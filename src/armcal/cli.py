@@ -7,6 +7,7 @@ seeding. Exit codes: 0 success, 2 usage/config error, 1 runtime error.
 
 import argparse
 import copy
+import dataclasses
 import json
 import sys
 import time
@@ -27,37 +28,64 @@ class UsageError(Exception):
 IDENTIFY_METHODS = ("grad", "surrogate", "sa", "both")
 
 
-DEFAULT_CONFIG = {
-    "plant": {"n_joints": 2, "link_lengths": None, "inertias": None,
-              "dt": 0.01, "substeps_per_action": 5, "friction_smoothing": 0.01,
-              "obs_noise_std": 0.0},
-    "bounds": {"f": [0.0, 10.0], "p": [1.0, 500.0], "d": [0.1, 50.0]},
+# Config sections whose defaults are the fields of a stage's config class.
+# The CLI sets two fields itself: `seed` from the run seed, `bounds` from
+# the bounds section.
+SECTION_CLASSES = {"plant": PlantConfig, "surrogate": surrogate.TrainConfig,
+                   "refine": identify.RefineConfig,
+                   "anneal": identify.AnnealConfig, "tpo": tpo.TpoConfig}
+_SET_BY_CLI = ("seed", "bounds")
+# The keys no config class backs, with their defaults.
+_UNBACKED = {
     "datagen": {"n_param_sets": 50, "n_episodes": 20, "horizon": 50,
                 "truth": None},
-    "surrogate": {"learning_rate": 0.001, "batch_size": 256, "max_epochs": 2000,
-                  "early_stop_loss": 1e-6, "plateau_window": 100,
-                  "plateau_rel_improvement": 1e-3, "hidden_width": 128},
-    "refine": {"learning_rate": 0.001, "max_steps": 500, "init": "best-sampled",
-               "convergence_tol": 1e-8, "convergence_window": 20},
-    "anneal": {"steps": 400, "initial_temperature": 1.0, "cooling_gamma": 0.99,
-               "proposal_frac": 0.1},
-    "tpo": {"beta": 0.1, "m": 25, "epochs_per_cycle": 80, "cycles": 5,
-            "rollouts_per_cycle": 100, "learning_rate": 0.001,
-            "rollout_horizon": 25, "exploration_std": 0.3, "goal": [1.2, 0.8]},
+    "surrogate": {"hidden_width": 128},
+    "tpo": {"exploration_std": 0.3, "goal": [1.2, 0.8]},
     "holdout_fraction": 0.25,
     "output_dir": "out",
     "run_seed": 0,
 }
 
 
-def _merge(base, override):
+def _class_fields(cls):
+    return [f for f in dataclasses.fields(cls) if f.name not in _SET_BY_CLI]
+
+
+def default_config():
+    """A fresh copy of the default config tree."""
+    config = copy.deepcopy(_UNBACKED)
+    config["bounds"] = serialize.bounds_to_json(ParamBounds())
+    for name, cls in SECTION_CLASSES.items():
+        config[name] = {**{f.name: f.default for f in _class_fields(cls)},
+                        **config.get(name, {})}
+    return config
+
+
+def _check_type(key, default, value):
+    """An override keeps the type of its default: an int key takes no float
+    or bool, a float key also takes an int, a None default takes anything."""
+    if default is None:
+        return
+    if isinstance(default, float):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        ok = (isinstance(value, type(default))
+              and isinstance(value, bool) == isinstance(default, bool))
+    if not ok:
+        raise UsageError(f"config key {key} expects a "
+                         f"{type(default).__name__}, got {value!r}")
+
+
+def _merge(base, override, prefix=""):
     out = copy.deepcopy(base)
     for k, v in override.items():
+        key = prefix + k
         if k not in out:
-            raise UsageError(f"unknown config key: {k}")
+            raise UsageError(f"unknown config key: {key}")
         if isinstance(v, dict) and isinstance(out[k], dict):
-            out[k] = _merge(out[k], v)
+            out[k] = _merge(out[k], v, key + ".")
         else:
+            _check_type(key, out[k], v)
             out[k] = v
     return out
 
@@ -78,11 +106,12 @@ def _apply_set(config, assignment):
         node = node[part]
     if parts[-1] not in node:
         raise UsageError(f"unknown config key: {key}")
+    _check_type(key, node[parts[-1]], value)
     node[parts[-1]] = value
 
 
 def load_config(args):
-    config = copy.deepcopy(DEFAULT_CONFIG)
+    config = default_config()
     if args.config is not None:
         path = Path(args.config)
         if not path.exists():
@@ -101,27 +130,30 @@ def load_config(args):
     return config
 
 
-def _plant(config):
-    p = config["plant"]
-    ll = p["link_lengths"]
-    ii = p["inertias"]
-    try:
-        return PlantConfig(p["n_joints"],
-                           tuple(ll) if ll else None,
-                           tuple(ii) if ii else None,
-                           p["dt"], p["substeps_per_action"],
-                           p["friction_smoothing"], p["obs_noise_std"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"invalid plant config: {exc}")
+def build_stages(config):
+    """Build every stage's config object, so that a value one of them
+    rejects is a usage error before any work starts.
 
-
-def _bounds(config):
-    b = config["bounds"]
+    Returns a dict keyed like SECTION_CLASSES, plus "seeds" and "bounds".
+    """
+    seeds = _seeds(config)
+    name = "bounds"
     try:
-        return ParamBounds(b["f"][0], b["f"][1], b["p"][0], b["p"][1],
-                           b["d"][0], b["d"][1])
+        bounds = serialize.bounds_from_json(config["bounds"])
+        set_by_cli = {"surrogate": {"seed": seeds["surrogate_train"]},
+                      "refine": {"bounds": bounds},
+                      "anneal": {"seed": seeds["anneal"], "bounds": bounds},
+                      "tpo": {"seed": seeds["tpo"]}}
+        stages = {"seeds": seeds, "bounds": bounds}
+        for name, cls in SECTION_CLASSES.items():
+            values = {f.name: config[name][f.name] for f in _class_fields(cls)}
+            if cls is PlantConfig:  # JSON lists to the tuples it holds
+                for k in ("link_lengths", "inertias"):
+                    values[k] = tuple(values[k]) if values[k] else None
+            stages[name] = cls(**values, **set_by_cli.get(name, {}))
     except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise UsageError(f"invalid bounds config: {exc}")
+        raise UsageError(f"invalid {name} config: {exc}")
+    return stages
 
 
 def _seeds(config):
@@ -160,11 +192,9 @@ def _truth_params(config, seeds, bounds):
     return PhysParams.from_array(draw)
 
 
-def cmd_datagen(config):
+def cmd_datagen(config, stages):
     out = _outdir(config)
-    plant_cfg = _plant(config)
-    bounds = _bounds(config)
-    seeds = _seeds(config)
+    plant_cfg, bounds, seeds = stages["plant"], stages["bounds"], stages["seeds"]
     dg = config["datagen"]
     truth = _truth_params(config, seeds, bounds)
     episodes = datagen.make_synthetic_real(truth, dg["n_episodes"], dg["horizon"],
@@ -184,24 +214,12 @@ def cmd_datagen(config):
     return 0
 
 
-def _train_cfg(config, seeds):
-    s = config["surrogate"]
-    return surrogate.TrainConfig(
-        learning_rate=s["learning_rate"], batch_size=s["batch_size"],
-        max_epochs=s["max_epochs"], early_stop_loss=s["early_stop_loss"],
-        plateau_window=s["plateau_window"],
-        plateau_rel_improvement=s["plateau_rel_improvement"],
-        seed=seeds["surrogate_train"])
-
-
-def cmd_train_surrogate(config, dataset_path):
+def cmd_train_surrogate(config, stages, dataset_path):
     out = _outdir(config)
     path = Path(dataset_path if dataset_path else out / "dataset.jsonl")
     if not path.exists():
         raise UsageError(f"dataset not found: {path}")
-    plant_cfg = _plant(config)
-    bounds = _bounds(config)
-    seeds = _seeds(config)
+    plant_cfg, seeds = stages["plant"], stages["seeds"]
     data = serialize.read_dataset(path)
     if data.shape[1] != 3 + 5 * plant_cfg.n_joints:
         raise UsageError("dataset layout does not match configured n_joints")
@@ -209,8 +227,8 @@ def cmd_train_surrogate(config, dataset_path):
     model = surrogate.init(
         surrogate.default_layer_dims(plant_cfg.n_joints,
                                      config["surrogate"]["hidden_width"]),
-        seeds["surrogate_init"], norm_stats=stats, bounds=bounds)
-    model = surrogate.train(model, data, _train_cfg(config, seeds))
+        seeds["surrogate_init"], norm_stats=stats, bounds=stages["bounds"])
+    model = surrogate.train(model, data, stages["surrogate"])
     serialize.dump_json(serialize.checkpoint_to_json(model), out / "checkpoint.json")
     history = model.training_meta.get("loss_history", [])
     with open(out / "train_loss.csv", "w") as fh:
@@ -243,7 +261,7 @@ def _report(method, params, seconds, eval_eps, plant_cfg, truth):
         identify.recovery_error(params, truth) if truth else None)
 
 
-def cmd_identify(config, episodes_path, checkpoint_path, method):
+def cmd_identify(config, stages, episodes_path, checkpoint_path, method):
     if method not in IDENTIFY_METHODS:
         raise UsageError(f"invalid --method {method!r}")
     if checkpoint_path and method != "surrogate":
@@ -252,30 +270,17 @@ def cmd_identify(config, episodes_path, checkpoint_path, method):
     path = Path(episodes_path if episodes_path else out / "episodes.json")
     if not path.exists():
         raise UsageError(f"episodes file not found: {path}")
-    plant_cfg = _plant(config)
-    bounds = _bounds(config)
-    seeds = _seeds(config)
+    plant_cfg, bounds, seeds = stages["plant"], stages["bounds"], stages["seeds"]
     episodes = serialize.episodes_from_json(serialize.load_json(path))
     train_eps, eval_eps = _split_holdout(episodes, config["holdout_fraction"])
     truth_path = path.parent / "truth.json"
     truth = (serialize.params_from_json(serialize.load_json(truth_path))
              if truth_path.exists() else None)
 
-    r = config["refine"]
-    refine_cfg = identify.RefineConfig(
-        learning_rate=r["learning_rate"], max_steps=r["max_steps"],
-        init=r["init"], convergence_tol=r["convergence_tol"],
-        convergence_window=r["convergence_window"], bounds=bounds)
-    a = config["anneal"]
-    anneal_cfg = identify.AnnealConfig(
-        steps=a["steps"], initial_temperature=a["initial_temperature"],
-        cooling_gamma=a["cooling_gamma"], proposal_frac=a["proposal_frac"],
-        seed=seeds["anneal"], bounds=bounds)
-
     reports = []
     if method in ("sa", "both"):
         t0 = time.perf_counter()
-        sa_params, _ = identify.anneal_params(train_eps, anneal_cfg, plant_cfg)
+        sa_params, _ = identify.anneal_params(train_eps, stages["anneal"], plant_cfg)
         reports.append(_report("sa", sa_params, time.perf_counter() - t0,
                                eval_eps, plant_cfg, truth))
     if method in ("grad", "both"):
@@ -290,13 +295,13 @@ def cmd_identify(config, episodes_path, checkpoint_path, method):
             model = serialize.checkpoint_from_json(serialize.load_json(checkpoint_path))
             candidates = datagen.sample_params(config["datagen"]["n_param_sets"],
                                                bounds, seeds["param_sets"])
-            sur_params, _ = identify.refine_params(model, train_eps, refine_cfg,
-                                                   candidates)
+            sur_params, _ = identify.refine_params(model, train_eps,
+                                                   stages["refine"], candidates)
         else:
             sur_cfg = identify.GradPipelineConfig(
                 n_param_sets=config["datagen"]["n_param_sets"],
                 sample_seed=seeds["param_sets"],
-                train=_train_cfg(config, seeds), refine=refine_cfg,
+                train=stages["surrogate"], refine=stages["refine"],
                 hidden_width=config["surrogate"]["hidden_width"],
                 init_seed=seeds["surrogate_init"])
             sur_params, _ = identify.run_gradient_pipeline(train_eps, plant_cfg,
@@ -320,30 +325,24 @@ def cmd_identify(config, episodes_path, checkpoint_path, method):
     return 0
 
 
-def cmd_tpo(config, params_path):
+def cmd_tpo(config, stages, params_path):
     out = _outdir(config)
     path = Path(params_path if params_path else out / "identified_params.json")
     if not path.exists():
         raise UsageError(f"identified parameter file not found: {path}")
-    plant_cfg = _plant(config)
-    seeds = _seeds(config)
     params = serialize.params_from_json(serialize.load_json(path))
     t = config["tpo"]
-    cfg = tpo.TpoConfig(beta=t["beta"], m=t["m"],
-                        epochs_per_cycle=t["epochs_per_cycle"], cycles=t["cycles"],
-                        rollouts_per_cycle=t["rollouts_per_cycle"],
-                        learning_rate=t["learning_rate"],
-                        rollout_horizon=t["rollout_horizon"], seed=seeds["tpo"])
-    policy = tpo.init_policy(plant_cfg.n_joints, seed=seeds["tpo"],
+    plant_cfg = stages["plant"]
+    policy = tpo.init_policy(plant_cfg.n_joints, seed=stages["seeds"]["tpo"],
                              exploration_std=t["exploration_std"])
-    reports = []
-    for c in range(cfg.cycles):
-        policy, rep = tpo.tpo_cycle(policy, params, np.array(t["goal"]), cfg,
-                                    plant_cfg, cycle_index=c)
-        reports.append(rep)
-        print(f"cycle {c}: reward {rep.mean_reward_before:.4f} -> "
+
+    def show(rep):
+        print(f"cycle {rep.cycle}: reward {rep.mean_reward_before:.4f} -> "
               f"{rep.mean_reward_after:.4f}, loss {rep.loss_first:.4f} -> "
               f"{rep.loss_last:.4f}")
+
+    policy, reports = tpo.run_tpo(policy, params, np.array(t["goal"]),
+                                  stages["tpo"], plant_cfg, on_cycle=show)
     with open(out / "tpo_report.jsonl", "w") as fh:
         for rep in reports:
             fh.write(serialize.to_canonical_json({
@@ -423,14 +422,16 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         config = load_config(args)
+        stages = build_stages(config)
         if args.command == "datagen":
-            return cmd_datagen(config)
+            return cmd_datagen(config, stages)
         if args.command == "train-surrogate":
-            return cmd_train_surrogate(config, args.dataset)
+            return cmd_train_surrogate(config, stages, args.dataset)
         if args.command == "identify":
-            return cmd_identify(config, args.episodes, args.checkpoint, args.method)
+            return cmd_identify(config, stages, args.episodes, args.checkpoint,
+                                args.method)
         if args.command == "tpo":
-            return cmd_tpo(config, args.params)
+            return cmd_tpo(config, stages, args.params)
         if args.command == "plot":
             return cmd_plot(config, args.csv, args.svg)
         raise UsageError(f"unknown command {args.command!r}")

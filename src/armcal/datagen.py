@@ -18,14 +18,6 @@ STD_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
-class TransitionRecord:
-    params: PhysParams
-    state: JointState
-    action: Action
-    next_state: JointState
-
-
-@dataclass(frozen=True)
 class NormStats:
     """Per-dimension mean/std of the flattened record layout
     (f, p, d | q, qd | action | next q, next qd), population convention,
@@ -154,35 +146,8 @@ def generate_transition_arrays(episodes: EpisodeSet, param_sets, cfg: PlantConfi
     return np.hstack([fpd_rows, q_rows, qd_rows, act_rows, nq, nqd])
 
 
-def generate_transitions(episodes: EpisodeSet, param_sets, cfg: PlantConfig):
-    """Same dataset as generate_transition_arrays, as TransitionRecord objects."""
-    data = generate_transition_arrays(episodes, param_sets, cfg)
-    n = cfg.n_joints
-    out = []
-    for row in data:
-        out.append(TransitionRecord(
-            PhysParams.from_array(row[:3]),
-            JointState(row[3:3 + n], row[3 + n:3 + 2 * n]),
-            Action(row[3 + 2 * n:3 + 3 * n]),
-            JointState(row[3 + 3 * n:3 + 4 * n], row[3 + 4 * n:3 + 5 * n])))
-    return out
-
-
-def records_to_matrix(records):
-    """Flatten TransitionRecords back into the (M, 3 + 5N) layout."""
-    return np.array([np.concatenate([r.params.as_array(),
-                                     r.state.q, r.state.qd,
-                                     r.action.target_q,
-                                     r.next_state.q, r.next_state.qd])
-                     for r in records])
-
-
-def compute_norm_stats(records) -> NormStats:
-    """Population mean/std per dimension of the flattened record layout."""
-    if isinstance(records, np.ndarray):
-        data = records
-    else:
-        data = records_to_matrix(records)
+def compute_norm_stats(data) -> NormStats:
+    """Population mean/std per dimension of the (M, 3 + 5N) record matrix."""
     if len(data) < 2:
         raise ValueError("need at least 2 records for normalization statistics")
     mean = data.mean(axis=0)

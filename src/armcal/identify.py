@@ -20,8 +20,6 @@ from .metrics import TrajErrorReport
 from .plant import (ParamBounds, PhysParams, PlantConfig, fk_positions, rollout,
                     step_batch_sensitivities)
 
-_MAX_FROB = 2.0 * np.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class RefineConfig:
@@ -30,9 +28,6 @@ class RefineConfig:
     init: str = "best-sampled"  # or "bounds-midpoint"
     convergence_tol: float = 1e-8
     convergence_window: int = 20
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     bounds: ParamBounds = field(default_factory=ParamBounds)
 
     def __post_init__(self):
@@ -108,22 +103,16 @@ def make_replay_energy(episodes, plant_cfg):
     return energy
 
 
-def replay_energy(fpd, episodes, plant_cfg):
-    return make_replay_energy(episodes, plant_cfg)(fpd)
-
-
 # --- refinement through the surrogate ----------------------------------------
 
-def minimize_projected_adam(objective, u0, lr, max_steps, tol, window,
-                            beta1=0.9, beta2=0.999, eps=1e-8):
+def minimize_projected_adam(objective, u0, lr, max_steps, tol, window):
     """Adam in the unit cube with projection after every step.
 
     objective(u) -> (loss, grad). Returns (best u, loss curve); on exact loss
     ties the earliest iterate wins.
     """
     u = np.clip(np.asarray(u0, dtype=float), 0.0, 1.0)
-    m = np.zeros_like(u)
-    v = np.zeros_like(u)
+    m, v = [np.zeros_like(u)], [np.zeros_like(u)]
     curve = []
     best_u, best_loss = u.copy(), np.inf
     for t in range(1, max_steps + 1):
@@ -135,10 +124,9 @@ def minimize_projected_adam(objective, u0, lr, max_steps, tol, window,
             best_loss, best_u = loss, u.copy()
         if len(curve) > window and abs(curve[-1] - curve[-1 - window]) < tol:
             break
-        m = beta1 * m + (1 - beta1) * grad
-        v = beta2 * v + (1 - beta2) * grad ** 2
-        u = u - lr * (m / (1 - beta1 ** t)) / (np.sqrt(v / (1 - beta2 ** t)) + eps)
-        u = np.clip(u, 0.0, 1.0)
+        u = u.copy()  # the objective may keep the array it was given
+        surrogate.adam_step([u], [grad], m, v, t, lr)
+        np.clip(u, 0.0, 1.0, out=u)
     return best_u, curve
 
 
@@ -167,8 +155,7 @@ def refine_params(model, episodes, cfg: RefineConfig, candidates=None):
     u0 = surrogate.params_to_unit(start[None, :], cfg.bounds)[0]
     best_u, curve = minimize_projected_adam(
         objective, u0, cfg.learning_rate, cfg.max_steps,
-        cfg.convergence_tol, cfg.convergence_window,
-        cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        cfg.convergence_tol, cfg.convergence_window)
     fpd = surrogate.unit_to_params(best_u[None, :], cfg.bounds)[0]
     return PhysParams.from_array(cfg.bounds.clip(fpd)), curve
 

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .datagen import Episode, EpisodeSet, NormStats, TransitionRecord
+from .datagen import Episode, EpisodeSet, NormStats
 from .plant import Action, JointState, ParamBounds, PhysParams
 from .surrogate import MlpCheckpoint
 from .tpo import PolicyNet
@@ -213,7 +213,7 @@ def reports_to_markdown(reports):
              "|---|---|---|---|---|"]
     for r in reports:
         lines.append(f"| {r.method} | {r.trajectory_error:.4f} | {r.rotation_error:.4f} "
-                     f"| {r.translation_error:.4f} | {r.wall_clock_seconds:.2f} |")
+                     f"| {r.translation_error:.4f} | {float(r.wall_clock_seconds)!r} |")
     return "\n".join(lines) + "\n"
 
 

@@ -16,8 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import NormStats, records_to_matrix
-from .plant import JointState, ParamBounds, PhysParams
+from .datagen import NormStats
+from .plant import ParamBounds
+
+# Adam moment decays and denominator guard, shared by every optimiser in the
+# package, and the per-epoch exponential decay of the training step size.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+LR_DECAY = 0.995
 
 
 class TrainingDiverged(RuntimeError):
@@ -31,13 +38,9 @@ class TrainConfig:
     learning_rate: float = 0.001
     batch_size: int = 256
     max_epochs: int = 2000
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     early_stop_loss: float = 1e-6
-    lr_decay: float = 0.995  # per-epoch exponential decay of the step size
     plateau_window: int = 100
-    plateau_rel_improvement: float = 3e-3
+    plateau_rel_improvement: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -167,79 +170,70 @@ def backprop(model, X, Y):
 
 # --- public operations -------------------------------------------------------
 
-def forward(model: MlpCheckpoint, params: PhysParams, state: JointState,
-            action) -> JointState:
-    """Predicted next joint state for a single transition."""
-    n = model.n_joints
-    sa = np.concatenate([state.q, state.qd, np.asarray(action.target_q)])
-    if sa.shape[0] != 3 * n:
-        raise ValueError("input dimension mismatch")
-    sa2 = sa[None, :]
-    X = build_input(model, params.as_array()[None, :], sa2)
-    y = forward_normalized(model, X)[0] + _z_baseline(model, sa2)[0]
-    _, _, m_nx, s_nx = _split_stats(model)
-    raw = y * s_nx + m_nx
-    return JointState(raw[:n], raw[n:])
-
-
 def forward_batch_raw(model, fpd, state_sa):
     """Batched forward in raw units: (B, 3) params + (B, 3N) state|action
     rows -> (B, 2N) next states."""
+    if np.shape(state_sa)[-1] != 3 * model.n_joints:
+        raise ValueError(f"state|action rows must have {3 * model.n_joints} "
+                         f"columns, got {np.shape(state_sa)[-1]}")
     X = build_input(model, fpd, state_sa)
     y = forward_normalized(model, X) + _z_baseline(model, state_sa)
     _, _, m_nx, s_nx = _split_stats(model)
     return y * s_nx + m_nx
 
 
-def train(model: MlpCheckpoint, records, cfg: TrainConfig) -> MlpCheckpoint:
-    """Mini-batch Adam on the normalized squared-error loss.
+def adam_step(params, grads, m, v, t, lr):
+    """One Adam update, in place, of each array in `params` at step t >= 1.
+
+    m and v hold the first- and second-moment estimates, one array per
+    parameter (zeros before the first step), and are updated in place.
+    """
+    corr1 = 1.0 - ADAM_BETA1 ** t
+    corr2 = 1.0 - ADAM_BETA2 ** t
+    for i, g in enumerate(grads):
+        m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
+        v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g ** 2
+        params[i] -= lr * (m[i] / corr1) / (np.sqrt(v[i] / corr2) + ADAM_EPS)
+
+
+def train(model: MlpCheckpoint, data, cfg: TrainConfig) -> MlpCheckpoint:
+    """Mini-batch Adam on the normalized squared-error loss over the rows of
+    the (M, 3 + 5N) transition matrix `data`; model.norm_stats must be set.
 
     Stops on max_epochs, on epoch loss <= early_stop_loss, or when the
     windowed-smoothed loss stops improving. Deterministic under cfg.seed.
     """
-    data = records if isinstance(records, np.ndarray) else records_to_matrix(records)
     if len(data) < 1:
         raise ValueError("empty training dataset")
-    if model.norm_stats is None:
-        from .datagen import compute_norm_stats
-        model.norm_stats = compute_norm_stats(data)
     n = model.n_joints
     X = build_input(model, data[:, :3], data[:, 3:3 + 3 * n])
     _, _, m_nx, s_nx = _split_stats(model)
     Y = (data[:, 3 + 3 * n:] - m_nx) / s_nx - _z_baseline(model, data[:, 3:3 + 3 * n])
 
     rng = np.random.default_rng(cfg.seed)
-    mW = [np.zeros_like(W) for W in model.weights]
-    vW = [np.zeros_like(W) for W in model.weights]
-    mb = [np.zeros_like(b) for b in model.biases]
-    vb = [np.zeros_like(b) for b in model.biases]
+    arrays = model.weights + model.biases
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
     t = 0
     history = []
     stop_reason = "max_epochs"
     for epoch in range(cfg.max_epochs):
-        lr = cfg.learning_rate * cfg.lr_decay ** epoch
+        lr = cfg.learning_rate * LR_DECAY ** epoch
         order = rng.permutation(len(X))
         losses = 0.0
         count = 0
         for start in range(0, len(X), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, dWs, dbs, _ = backprop(model, X[idx], Y[idx])
+            # a diverging run overflows before its loss turns non-finite;
+            # the isfinite check below reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, dWs, dbs, _ = backprop(model, X[idx], Y[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, loss)
             losses += loss * len(idx)
             count += len(idx)
             t += 1
-            corr1 = 1.0 - cfg.adam_beta1 ** t
-            corr2 = 1.0 - cfg.adam_beta2 ** t
-            for i in range(len(model.weights)):
-                mW[i] = cfg.adam_beta1 * mW[i] + (1 - cfg.adam_beta1) * dWs[i]
-                vW[i] = cfg.adam_beta2 * vW[i] + (1 - cfg.adam_beta2) * dWs[i] ** 2
-                model.weights[i] -= lr * (mW[i] / corr1) / (
-                    np.sqrt(vW[i] / corr2) + cfg.adam_eps)
-                mb[i] = cfg.adam_beta1 * mb[i] + (1 - cfg.adam_beta1) * dbs[i]
-                vb[i] = cfg.adam_beta2 * vb[i] + (1 - cfg.adam_beta2) * dbs[i] ** 2
-                model.biases[i] -= lr * (mb[i] / corr1) / (
-                    np.sqrt(vb[i] / corr2) + cfg.adam_eps)
+            adam_step(arrays, dWs + dbs, m, v, t, lr)
         epoch_loss = losses / count
         history.append(epoch_loss)
         if epoch_loss <= cfg.early_stop_loss:
@@ -259,23 +253,6 @@ def train(model: MlpCheckpoint, records, cfg: TrainConfig) -> MlpCheckpoint:
         "loss_history": history,
     }
     return model
-
-
-def grad_wrt_params(model, params: PhysParams, state: JointState, action,
-                    target: JointState):
-    """Exact gradient of the squared prediction error, measured in z-scored
-    next-state space, with respect to the raw (f, p, d) inputs; weights held
-    fixed."""
-    n = model.n_joints
-    sa = np.concatenate([state.q, state.qd, np.asarray(action.target_q)])[None, :]
-    X = build_input(model, params.as_array()[None, :], sa)
-    _, _, m_nx, s_nx = _split_stats(model)
-    Yz = (target.as_vector() - m_nx) / s_nx - _z_baseline(model, sa)[0]
-    _, _, _, dX = backprop(model, X, Yz[None, :])
-    # chain through the min-max scaling back to raw parameter units
-    _, rng_, safe = _param_scale(model.bounds)
-    grad_unit = dX[0, :3]
-    return np.where(rng_ > 0, grad_unit / safe, 0.0)
 
 
 def param_loss_and_grad(model, fpd_row, state_sa, next_raw):

@@ -61,9 +61,6 @@ class TpoConfig:
     rollouts_per_cycle: int = 100
     learning_rate: float = 1e-3
     rollout_horizon: int = 25
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -213,10 +210,9 @@ def tpo_cycle(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
     mean_before = float(np.mean([t.reward for t in batch]))
     pairs = rank_and_pair(batch, cfg.m)
 
-    mW = [np.zeros_like(W) for W in policy.weights]
-    vW = [np.zeros_like(W) for W in policy.weights]
-    mb = [np.zeros_like(b) for b in policy.biases]
-    vb = [np.zeros_like(b) for b in policy.biases]
+    arrays = policy.weights + policy.biases
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
     loss_first = loss_last = None
     for t in range(1, cfg.epochs_per_cycle + 1):
         loss, dWs, dbs = tpo_loss(policy, reference, pairs, cfg.beta)
@@ -225,17 +221,7 @@ def tpo_cycle(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
         if loss_first is None:
             loss_first = loss
         loss_last = loss
-        corr1 = 1.0 - cfg.adam_beta1 ** t
-        corr2 = 1.0 - cfg.adam_beta2 ** t
-        for i in range(len(policy.weights)):
-            mW[i] = cfg.adam_beta1 * mW[i] + (1 - cfg.adam_beta1) * dWs[i]
-            vW[i] = cfg.adam_beta2 * vW[i] + (1 - cfg.adam_beta2) * dWs[i] ** 2
-            policy.weights[i] -= cfg.learning_rate * (mW[i] / corr1) / (
-                np.sqrt(vW[i] / corr2) + cfg.adam_eps)
-            mb[i] = cfg.adam_beta1 * mb[i] + (1 - cfg.adam_beta1) * dbs[i]
-            vb[i] = cfg.adam_beta2 * vb[i] + (1 - cfg.adam_beta2) * dbs[i] ** 2
-            policy.biases[i] -= cfg.learning_rate * (mb[i] / corr1) / (
-                np.sqrt(vb[i] / corr2) + cfg.adam_eps)
+        surrogate.adam_step(arrays, dWs + dbs, m, v, t, cfg.learning_rate)
 
     after_batch = _rollout_batch(policy, params, goal, plant_cfg, cfg,
                                  np.random.SeedSequence((cfg.seed, cycle_index, 1)))
@@ -247,10 +233,15 @@ def tpo_cycle(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
 
 
 def run_tpo(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
-            plant_cfg: PlantConfig):
-    """Run cfg.cycles fine-tuning cycles; returns (policy, reports)."""
+            plant_cfg: PlantConfig, on_cycle=None):
+    """Run cfg.cycles fine-tuning cycles; returns (policy, reports).
+
+    on_cycle(report), if given, is called as each cycle finishes.
+    """
     reports = []
     for c in range(cfg.cycles):
         policy, rep = tpo_cycle(policy, params, goal, cfg, plant_cfg, cycle_index=c)
         reports.append(rep)
+        if on_cycle is not None:
+            on_cycle(rep)
     return policy, reports

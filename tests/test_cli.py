@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from armcal import serialize
-from armcal.cli import DEFAULT_CONFIG, main
+from armcal import cli, serialize
+from armcal.cli import default_config, main
 
 FAST = [
     "--set", "datagen.n_param_sets=3",
@@ -70,6 +70,37 @@ class TestExitCodes:
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("assignment", [
+        'datagen.horizon="abc"',  # a string for an int
+        "datagen.horizon=5.0",  # a float for an int
+        "tpo.m=true",  # a bool for an int
+        'anneal.steps="400"',
+        "refine.learning_rate=false",  # a bool for a float
+        "output_dir=3",  # an int for a string
+        "tpo.goal=1.0",  # a number for a list
+    ])
+    def test_usage_error_wrong_type(self, tmp_path, assignment):
+        assert main(["--out", str(tmp_path), *FAST, "--set", assignment,
+                     "datagen"]) == 2
+
+    def test_usage_error_wrong_type_in_config_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"datagen": {"horizon": 2.5}}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "datagen"]) == 2
+
+    @pytest.mark.parametrize("assignment", [
+        "tpo.beta=0",  # TpoConfig: beta must be positive
+        'refine.init="random"',  # RefineConfig: unknown init mode
+        "surrogate.batch_size=0",  # TrainConfig
+        "anneal.cooling_gamma=1",  # AnnealConfig
+        "plant.dt=0",  # PlantConfig
+    ])
+    def test_usage_error_value_a_stage_rejects(self, tmp_path, assignment):
+        # every stage's config is built at load, whatever the command
+        assert main(["--out", str(tmp_path), *FAST, "--set", assignment,
+                     "datagen"]) == 2
+        assert not (tmp_path / "dataset.jsonl").exists()
 
 
 class TestDatagen:
@@ -179,9 +210,12 @@ class TestDeterminism:
     CSV_TIME_COL = 4
 
     def strip_volatile(self, text, name):
+        # the wall-clock column is measurement, not computation
         if name == "identify_report.csv":
-            # wall-clock column is measurement, not computation
             return "\n".join(",".join(line.split(",")[:self.CSV_TIME_COL])
+                             for line in text.splitlines())
+        if name == "identify_report.md":
+            return "\n".join(line.rsplit("|", 2)[0]
                              for line in text.splitlines())
         return text
 
@@ -247,9 +281,21 @@ class TestConfigPlumbing:
         assert main(["--config", str(cfg), "datagen"]) == 2
 
     def test_default_config_unmutated(self, tmp_path):
-        before = json.dumps(DEFAULT_CONFIG, sort_keys=True)
-        run(tmp_path, "datagen")
-        assert json.dumps(DEFAULT_CONFIG, sort_keys=True) == before
+        # overrides of both a literal section (datagen) and a class-backed
+        # one (tpo) must leave the module-level defaults untouched
+        before = json.dumps(default_config(), sort_keys=True)
+        unbacked = json.dumps(cli._UNBACKED, sort_keys=True)
+        assert run(tmp_path, "--set", "tpo.goal=[0.5,0.5]", "datagen") == 0
+        assert json.dumps(cli._UNBACKED, sort_keys=True) == unbacked
+        assert json.dumps(default_config(), sort_keys=True) == before
+
+    def test_default_config_hash_pinned(self):
+        # the CLI keys and their defaults, read off the config classes
+        assert serialize.config_hash(default_config()) == \
+            "1ff95dad8c5b72f90f39990757a0afde133f9781864b367b9b07ffad1476a462"
+
+    def test_int_accepted_for_float_key(self, tmp_path):
+        assert run(tmp_path, "--set", "plant.obs_noise_std=0", "datagen") == 0
 
 
 class TestPlot:

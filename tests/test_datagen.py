@@ -6,8 +6,7 @@ import pytest
 from armcal.datagen import (EXCITATION_HOLD_STEPS, STD_FLOOR, Episode,
                             EpisodeSet, NormStats, compute_norm_stats,
                             episode_arrays, excitation_actions,
-                            generate_transition_arrays, generate_transitions,
-                            make_synthetic_real, records_to_matrix,
+                            generate_transition_arrays, make_synthetic_real,
                             sample_params, teacher_forced_next)
 from armcal.plant import (Action, JointState, ParamBounds, PhysParams,
                           PlantConfig, step)
@@ -157,14 +156,6 @@ class TestDatasetGeneration:
         np.testing.assert_array_equal(pq, nq)
         np.testing.assert_array_equal(pqd, nqd)
 
-    def test_record_objects_match_matrix(self):
-        eps = make_synthetic_real(PhysParams(2.0, 100.0, 5.0), 1, 4, CFG, 1)
-        cands = sample_params(2, BOUNDS, seed=2)
-        data = generate_transition_arrays(eps, cands, CFG)
-        recs = generate_transitions(eps, cands, CFG)
-        assert len(recs) == len(data)
-        np.testing.assert_array_equal(records_to_matrix(recs), data)
-
     def test_rejects_empty_inputs(self):
         eps = make_synthetic_real(PhysParams(1.0, 10.0, 1.0), 1, 2, CFG, 0)
         with pytest.raises(ValueError):
@@ -188,15 +179,6 @@ class TestNormStats:
         assert stats.std[0] == STD_FLOOR
         assert stats.std[2] == STD_FLOOR
         assert stats.std[1] > 1.0
-
-    def test_accepts_record_objects(self):
-        eps = make_synthetic_real(PhysParams(2.0, 100.0, 5.0), 1, 4, CFG, 1)
-        cands = sample_params(2, BOUNDS, seed=2)
-        recs = generate_transitions(eps, cands, CFG)
-        s1 = compute_norm_stats(recs)
-        s2 = compute_norm_stats(generate_transition_arrays(eps, cands, CFG))
-        np.testing.assert_array_equal(s1.mean, s2.mean)
-        np.testing.assert_array_equal(s1.std, s2.std)
 
     def test_validation(self):
         with pytest.raises(ValueError):

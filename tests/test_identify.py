@@ -10,7 +10,7 @@ from armcal.identify import (AnnealConfig, GradPipelineConfig, RefineConfig,
                              gauss_newton_params, make_one_step_residuals,
                              make_replay_energy, minimize_projected_adam,
                              planar_pose_errors, recovery_error, refine_params,
-                             replay_energy, run_gradient_pipeline)
+                             run_gradient_pipeline)
 from armcal.plant import (Action, JointState, ParamBounds, PhysParams,
                           PlantConfig, fk)
 
@@ -300,8 +300,9 @@ class TestEvaluate:
     def test_replay_energy_zero_at_truth(self):
         truth = PhysParams(3.0, 150.0, 9.0)
         eps = datagen.make_synthetic_real(truth, 2, 8, CFG, seed=5)
-        assert replay_energy(truth.as_array(), eps, CFG) == 0.0
-        assert replay_energy([9.0, 20.0, 40.0], eps, CFG) > 0.0
+        energy = make_replay_energy(eps, CFG)
+        assert energy(truth.as_array()) == 0.0
+        assert energy([9.0, 20.0, 40.0]) > 0.0
 
     def test_recovery_error(self):
         got = recovery_error(PhysParams(2.2, 90.0, 5.0), PhysParams(2.0, 100.0, 5.0))

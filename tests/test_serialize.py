@@ -187,6 +187,8 @@ class TestReports:
                            0.2245, 0.1282, 0.0963, 12888.43),
             IdentifyReport("grad", PhysParams(1.0, 2.0, 3.0),
                            0.2161, 0.1101, 0.1060, 1299.92),
+            IdentifyReport("surrogate", PhysParams(1.0, 2.0, 3.0),
+                           0.0012, 0.0007, 0.0005, 0.0153),
         ]
 
     def test_csv_header_and_rows(self):
@@ -195,6 +197,7 @@ class TestReports:
         assert lines[0] == serialize.REPORT_HEADER
         assert lines[1] == "sa,0.224500,0.128200,0.096300,12888.43"
         assert lines[2] == "grad,0.216100,0.110100,0.106000,1299.92"
+        assert lines[3] == "surrogate,0.001200,0.000700,0.000500,0.0153"
         assert text.endswith("\n")
 
     def test_markdown_table(self):
@@ -203,6 +206,8 @@ class TestReports:
         assert lines[0].startswith("| Method |")
         assert lines[1].startswith("|---")
         assert "| sa | 0.2245 | 0.1282 | 0.0963 | 12888.43 |" in lines[2]
+        # millisecond runs keep their digits, as in the CSV
+        assert "| surrogate | 0.0012 | 0.0007 | 0.0005 | 0.0153 |" in lines[4]
 
 
 class TestSvg:
