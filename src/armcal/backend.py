@@ -31,20 +31,6 @@ def backend_name():
     return _active.BACKEND_NAME
 
 
-def has_compiled():
-    return _kernel_cy is not None
-
-
 def substep_batch(q, qd, target, f, p, d, inv_inertia, dt, n_sub, eps_v):
     _active.substep_batch(q, qd, target, f, p, d, inv_inertia, dt, n_sub, eps_v)
 
-
-def get_kernel(name):
-    """Explicit kernel lookup, used by the backend benchmark."""
-    if name == "python":
-        return _kernel_py
-    if name == "compiled":
-        if _kernel_cy is None:
-            raise ValueError("compiled kernel not available")
-        return _kernel_cy
-    raise ValueError(f"unknown backend {name!r}")

@@ -9,6 +9,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -35,12 +36,14 @@ SECTION_CLASSES = {"plant": PlantConfig, "surrogate": surrogate.TrainConfig,
                    "refine": identify.RefineConfig,
                    "anneal": identify.AnnealConfig, "tpo": tpo.TpoConfig}
 _SET_BY_CLI = ("seed", "bounds")
-# The keys no config class backs, with their defaults.
+# The keys no config class backs, with their defaults. The surrogate
+# pipeline's and the policy's defaults are read from where they are defined.
 _UNBACKED = {
-    "datagen": {"n_param_sets": 50, "n_episodes": 20, "horizon": 50,
-                "truth": None},
-    "surrogate": {"hidden_width": 128},
-    "tpo": {"exploration_std": 0.3, "goal": [1.2, 0.8]},
+    "datagen": {"n_param_sets": identify.GradPipelineConfig.n_param_sets,
+                "n_episodes": 20, "horizon": 50, "truth": None},
+    "surrogate": {"hidden_width": identify.GradPipelineConfig.hidden_width},
+    "tpo": {"exploration_std": tpo.PolicyNet.exploration_std,
+            "goal": [1.2, 0.8]},
     "holdout_fraction": 0.25,
     "output_dir": "out",
     "run_seed": 0,
@@ -130,12 +133,29 @@ def load_config(args):
     return config
 
 
+def _check_unbacked(config):
+    """Range checks of the keys no config class holds."""
+    for key in ("n_param_sets", "n_episodes", "horizon"):
+        if config["datagen"][key] < 1:
+            raise UsageError(f"datagen.{key} must be >= 1, "
+                             f"got {config['datagen'][key]}")
+    goal = config["tpo"]["goal"]
+    if not (len(goal) == 2 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v) for v in goal)):
+        raise UsageError(f"tpo.goal must be 2 finite numbers, got {goal!r}")
+    std = config["tpo"]["exploration_std"]
+    if not (math.isfinite(std) and std >= 0):
+        raise UsageError(f"tpo.exploration_std must be finite and >= 0, got {std!r}")
+
+
 def build_stages(config):
     """Build every stage's config object, so that a value one of them
     rejects is a usage error before any work starts.
 
     Returns a dict keyed like SECTION_CLASSES, plus "seeds" and "bounds".
     """
+    _check_unbacked(config)
     seeds = _seeds(config)
     name = "bounds"
     try:

@@ -320,7 +320,7 @@ class GradPipelineConfig:
     sample_seed: int = 1
     train: surrogate.TrainConfig = field(default_factory=surrogate.TrainConfig)
     refine: RefineConfig = field(default_factory=RefineConfig)
-    hidden_width: int = 128
+    hidden_width: int = surrogate.HIDDEN_WIDTH
     init_seed: int = 2
 
 

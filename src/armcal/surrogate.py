@@ -81,7 +81,10 @@ def init(layer_dims, seed, norm_stats=None, bounds=None) -> MlpCheckpoint:
                          norm_stats, bounds or ParamBounds(), int(seed))
 
 
-def default_layer_dims(n_joints, hidden=128):
+HIDDEN_WIDTH = 128  # of both hidden layers, unless the caller sets it
+
+
+def default_layer_dims(n_joints, hidden=HIDDEN_WIDTH):
     return (3 + 3 * n_joints, hidden, hidden, 2 * n_joints)
 
 

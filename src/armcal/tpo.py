@@ -11,15 +11,27 @@ where delta is the log-probability advantage of the chosen trajectory over
 the rejected one, relative to a frozen pre-update reference policy.
 Trajectory log-probability is the negative half sum of squared differences
 between the policy's mean actions and the actions actually executed.
+
+Both stages of a cycle are batched. The rollouts of a batch advance in
+lockstep: each time step is one policy forward over all B current states and
+one batch-B plant step. Each rollout still draws its exploration noise from
+its own generator, as one (horizon, N) block before the loop, which gives the
+same values as drawing one step at a time. The preference loss stacks the
+observation rows of all 2m paired trajectories once per cycle, with the
+reference log-probabilities, so that each epoch is one forward and one
+backward pass over those rows. A GEMM over many rows rounds differently from
+many single-row products, so mean actions can differ from those of a
+one-rollout-at-a-time loop in the last bit (a few 1e-16); reruns with the
+same seed are byte-identical. `traj_log_prob` and `tpo_delta` keep the
+per-trajectory definitions the batched loss is tested against.
 """
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import surrogate
-from .plant import Action, JointState, PhysParams, PlantConfig, Trajectory, fk, step
+from . import plant, surrogate
+from .plant import Action, JointState, PhysParams, PlantConfig, Trajectory
 
 
 @dataclass
@@ -66,11 +78,16 @@ class TpoConfig:
     def __post_init__(self):
         if self.beta <= 0:
             raise ValueError("beta must be positive")
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
+        if self.rollout_horizon < 1:
+            raise ValueError("rollout_horizon must be >= 1")
         if 2 * self.m > self.rollouts_per_cycle:
             raise ValueError("need at least 2m rollouts per cycle")
 
 
-def init_policy(n_joints, hidden=(32, 32), seed=0, exploration_std=0.3) -> PolicyNet:
+def init_policy(n_joints, hidden=(32, 32), seed=0,
+                exploration_std=PolicyNet.exploration_std) -> PolicyNet:
     dims = (2 * n_joints + 2, *hidden, n_joints)
     net = surrogate.init(dims, seed)
     return PolicyNet(dims, net.weights, net.biases, exploration_std)
@@ -85,29 +102,55 @@ def policy_means(policy: PolicyNet, obs_rows):
     return surrogate.forward_normalized(policy, obs_rows)
 
 
+def _rollout_batch(policy: PolicyNet, params: PhysParams, goal, cfg: PlantConfig,
+                   horizon, rngs, init_state=None):
+    """Closed-loop rollouts in lockstep, one per generator in rngs, all from
+    init_state (rest by default). Returns a list of RankedTrajectory."""
+    goal = np.asarray(goal, dtype=float)
+    n, B = cfg.n_joints, len(rngs)
+    init_state = init_state or JointState(np.zeros(n), np.zeros(n))
+    if init_state.q.shape[0] != n:
+        raise ValueError(f"dimension mismatch: expected {n} joints")
+    noise = np.stack([rng.normal(0.0, 1.0, (horizon, n)) for rng in rngs],
+                     axis=1) * policy.exploration_std  # (T, B, N)
+    qs = np.empty((horizon + 1, B, n))
+    qds = np.empty((horizon + 1, B, n))
+    executed = np.empty((horizon, B, n))
+    q = np.tile(init_state.q, (B, 1))
+    qd = np.tile(init_state.qd, (B, 1))
+    qs[0], qds[0] = q, qd
+    fpd = np.broadcast_to(params.as_array(), (B, 3))
+    goal_rows = np.broadcast_to(goal, (B, len(goal)))
+    for t in range(horizon):
+        target = policy_means(policy, np.hstack([q, qd, goal_rows])) + noise[t]
+        if not np.all(np.isfinite(target)):
+            raise ValueError("non-finite commanded target")
+        executed[t] = target
+        plant.step_batch(fpd, q, qd, target, cfg)
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qd))):
+            raise ValueError("non-finite joint state")
+        qs[t + 1], qds[t + 1] = q, qd
+
+    pos, _ = plant.fk_positions(q, cfg)
+    rewards = -np.linalg.norm(pos[:, :2] - goal, axis=1)
+    poses = plant.fk_poses(qs.reshape(-1, n), cfg)  # time-major: step t, rollout b at t*B + b
+    out = []
+    for b in range(B):
+        traj = Trajectory(
+            tuple(JointState(qs[t, b], qds[t, b]) for t in range(horizon + 1)),
+            tuple(Action(executed[t, b]) for t in range(horizon)),
+            tuple(poses[b::B]))
+        out.append(RankedTrajectory(traj, executed[:, b].copy(), goal,
+                                    float(rewards[b])))
+    return out
+
+
 def rollout_policy(policy: PolicyNet, params: PhysParams, goal, cfg: PlantConfig,
                    horizon, rng, init_state=None) -> RankedTrajectory:
     """Closed-loop rollout with Gaussian exploration noise on the commanded
-    targets; reward is the negative terminal distance to the goal."""
-    goal = np.asarray(goal, dtype=float)
-    n = cfg.n_joints
-    state = init_state or JointState(np.zeros(n), np.zeros(n))
-    states = [state]
-    actions = []
-    executed = []
-    for _ in range(horizon):
-        obs = np.concatenate([state.q, state.qd, goal])[None, :]
-        mean = policy_means(policy, obs)[0]
-        noise = rng.normal(0.0, 1.0, n) * policy.exploration_std
-        a = Action(mean + noise)
-        executed.append(a.target_q)
-        actions.append(a)
-        state = step(params, state, a, cfg)
-        states.append(state)
-    poses = tuple(fk(s.q, cfg) for s in states)
-    traj = Trajectory(tuple(states), tuple(actions), poses)
-    reward = -float(np.linalg.norm(poses[-1].x[:2] - goal))
-    return RankedTrajectory(traj, np.array(executed), goal, reward)
+    targets; reward is the negative terminal distance to the goal. The
+    one-rollout case of the lockstep batch."""
+    return _rollout_batch(policy, params, goal, cfg, horizon, [rng], init_state)[0]
 
 
 def traj_log_prob(policy: PolicyNet, rt: RankedTrajectory) -> float:
@@ -133,37 +176,74 @@ def _sigmoid(x):
                     np.exp(x) / (1.0 + np.exp(x)))
 
 
+@dataclass(frozen=True)
+class _PairRows:
+    """The rows of every trajectory in a list of P preference pairs, stacked
+    once. Pair j's chosen trajectory is number 2j, its rejected one 2j + 1."""
+    obs: np.ndarray  # (R, 2N + 2) observation rows
+    executed: np.ndarray  # (R, N) executed actions
+    traj: np.ndarray  # (R,) trajectory number of each row
+    ref_log_prob: np.ndarray  # (2P,) under the frozen reference
+
+
+def _log_probs(policy, obs, executed, traj, n_traj):
+    """Per-trajectory log-probabilities over stacked rows; also the rows'
+    mean-minus-executed residuals and the forward pass's activations."""
+    means, acts = surrogate.forward_normalized(policy, obs, keep_cache=True)
+    if means.shape != executed.shape:
+        raise ValueError("action dimension mismatch")
+    diff = means - executed
+    log_prob = -0.5 * np.bincount(traj, weights=np.sum(diff * diff, axis=1),
+                                  minlength=n_traj)
+    return log_prob, diff, acts
+
+
+def _pair_rows(reference: PolicyNet, pairs) -> _PairRows:
+    if not pairs:
+        raise ValueError("no preference pairs")
+    trajs = [rt for pr in pairs for rt in (pr.chosen, pr.rejected)]
+    obs, lengths = [], []
+    for rt in trajs:
+        T = len(rt.executed_actions)
+        rows = _obs_rows(rt.trajectory.states, rt.goal, T)
+        if len(rows) != T:
+            raise ValueError("action dimension mismatch")
+        obs.append(rows)
+        lengths.append(T)
+    obs = np.vstack(obs)
+    executed = np.vstack([rt.executed_actions for rt in trajs])
+    traj = np.repeat(np.arange(len(trajs)), lengths)
+    ref_log_prob, _, _ = _log_probs(reference, obs, executed, traj, len(trajs))
+    return _PairRows(obs, executed, traj, ref_log_prob)
+
+
+def _pair_loss(policy: PolicyNet, rows: _PairRows, beta):
+    """The preference loss and its weight gradients over cached pair rows."""
+    n_traj = len(rows.ref_log_prob)
+    log_prob, diff, acts = _log_probs(policy, rows.obs, rows.executed,
+                                      rows.traj, n_traj)
+    adv = log_prob - rows.ref_log_prob
+    z = beta * (adv[0::2] - adv[1::2])
+    # -log sigmoid(z), numerically stable
+    loss = float(np.mean(np.where(z >= 0, np.log1p(np.exp(-z)),
+                                  -z + np.log1p(np.exp(z)))))
+    # d loss / d delta_j = -beta * sigmoid(-z_j) / P; delta_j enters with +1
+    # through the chosen and -1 through the rejected trajectory
+    coeff = -beta * _sigmoid(-z) / len(z)
+    signed = np.stack([coeff, -coeff], axis=1).ravel()[rows.traj]
+    # d logprob / d mean = -(mean - executed)
+    dWs, dbs, _ = surrogate.backward_from_delta(policy, acts,
+                                                -(signed[:, None] * diff))
+    return loss, dWs, dbs
+
+
 def tpo_loss(policy: PolicyNet, reference: PolicyNet, pairs, beta):
     """Mean -log sigmoid(beta * delta) over pairs, with the gradient with
     respect to the policy weights (reference frozen).
 
     Returns (loss, dWs, dbs).
     """
-    if not pairs:
-        raise ValueError("no preference pairs")
-    deltas = np.array([tpo_delta(policy, reference, pr) for pr in pairs])
-    z = beta * deltas
-    # -log sigmoid(z), numerically stable
-    loss = float(np.mean(np.where(z >= 0, np.log1p(np.exp(-z)),
-                                  -z + np.log1p(np.exp(z)))))
-    # d loss / d delta_j = -beta * sigmoid(-z_j) / P
-    coeff = -beta * _sigmoid(-z) / len(pairs)
-
-    rows = []
-    grads_out = []
-    for c, pr in zip(coeff, pairs):
-        for rt, sign in ((pr.chosen, 1.0), (pr.rejected, -1.0)):
-            T = len(rt.executed_actions)
-            obs = _obs_rows(rt.trajectory.states, rt.goal, T)
-            rows.append(obs)
-            # d logprob / d mean = -(mean - executed); chain with c * sign
-            means = policy_means(policy, obs)
-            grads_out.append(c * sign * -(means - rt.executed_actions))
-    X = np.vstack(rows)
-    delta_out = np.vstack(grads_out)
-    _, acts = surrogate.forward_normalized(policy, X, keep_cache=True)
-    dWs, dbs, _ = surrogate.backward_from_delta(policy, acts, delta_out)
-    return loss, dWs, dbs
+    return _pair_loss(policy, _pair_rows(reference, pairs), beta)
 
 
 def rank_and_pair(trajectories, m):
@@ -190,13 +270,8 @@ class CycleReport:
     loss_last: float
 
 
-def _rollout_batch(policy, params, goal, plant_cfg, cfg, seed_seq):
-    out = []
-    for child in seed_seq.spawn(cfg.rollouts_per_cycle):
-        rng = np.random.default_rng(child)
-        out.append(rollout_policy(policy, params, goal, plant_cfg,
-                                  cfg.rollout_horizon, rng))
-    return out
+def _spawn_rngs(seed_seq, n):
+    return [np.random.default_rng(child) for child in seed_seq.spawn(n)]
 
 
 def tpo_cycle(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
@@ -205,17 +280,18 @@ def tpo_cycle(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
     epochs_per_cycle gradient steps on the preference loss."""
     if seed_seq is None:
         seed_seq = np.random.SeedSequence((cfg.seed, cycle_index))
-    reference = copy.deepcopy(policy)
-    batch = _rollout_batch(policy, params, goal, plant_cfg, cfg, seed_seq)
+    batch = _rollout_batch(policy, params, goal, plant_cfg, cfg.rollout_horizon,
+                           _spawn_rngs(seed_seq, cfg.rollouts_per_cycle))
     mean_before = float(np.mean([t.reward for t in batch]))
-    pairs = rank_and_pair(batch, cfg.m)
+    # the policy before its first update is the frozen reference
+    rows = _pair_rows(policy, rank_and_pair(batch, cfg.m))
 
     arrays = policy.weights + policy.biases
     m = [np.zeros_like(a) for a in arrays]
     v = [np.zeros_like(a) for a in arrays]
     loss_first = loss_last = None
     for t in range(1, cfg.epochs_per_cycle + 1):
-        loss, dWs, dbs = tpo_loss(policy, reference, pairs, cfg.beta)
+        loss, dWs, dbs = _pair_loss(policy, rows, cfg.beta)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite preference loss in cycle {cycle_index}")
         if loss_first is None:
@@ -223,8 +299,9 @@ def tpo_cycle(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
         loss_last = loss
         surrogate.adam_step(arrays, dWs + dbs, m, v, t, cfg.learning_rate)
 
-    after_batch = _rollout_batch(policy, params, goal, plant_cfg, cfg,
-                                 np.random.SeedSequence((cfg.seed, cycle_index, 1)))
+    after_seq = np.random.SeedSequence((cfg.seed, cycle_index, 1))
+    after_batch = _rollout_batch(policy, params, goal, plant_cfg, cfg.rollout_horizon,
+                                 _spawn_rngs(after_seq, cfg.rollouts_per_cycle))
     mean_after = float(np.mean([t.reward for t in after_batch]))
     report = CycleReport(cycle_index, mean_before, mean_after,
                          loss_first if loss_first is not None else 0.0,

@@ -95,6 +95,15 @@ class TestExitCodes:
         "surrogate.batch_size=0",  # TrainConfig
         "anneal.cooling_gamma=1",  # AnnealConfig
         "plant.dt=0",  # PlantConfig
+        "tpo.m=0",  # TpoConfig: no preference pairs
+        "tpo.rollout_horizon=0",  # TpoConfig
+        # keys no config class holds, checked at load
+        "datagen.n_episodes=-3",
+        "datagen.horizon=0",
+        "datagen.n_param_sets=0",
+        "tpo.goal=[1.2,0.8,0.0]",
+        "tpo.goal=[1.2,NaN]",
+        "tpo.exploration_std=-0.1",
     ])
     def test_usage_error_value_a_stage_rejects(self, tmp_path, assignment):
         # every stage's config is built at load, whatever the command

@@ -7,11 +7,11 @@ import copy
 import numpy as np
 import pytest
 
-from armcal import surrogate
+from armcal import plant, surrogate
 from armcal.plant import (Action, JointState, PhysParams, PlantConfig,
                           Trajectory, fk)
 from armcal.tpo import (CycleReport, PolicyNet, PreferencePair,
-                        RankedTrajectory, TpoConfig, init_policy,
+                        RankedTrajectory, TpoConfig, _rollout_batch, init_policy,
                         policy_means, rank_and_pair, rollout_policy,
                         run_tpo, tpo_cycle, tpo_delta, tpo_loss,
                         traj_log_prob)
@@ -264,3 +264,95 @@ class TestCycles:
             TpoConfig(beta=0.0)
         with pytest.raises(ValueError):
             TpoConfig(m=10, rollouts_per_cycle=19)
+
+
+def _loop_loss(policy, reference, pairs, beta):
+    """The preference loss one trajectory at a time: deltas from tpo_delta,
+    gradients from one backward pass per trajectory, summed."""
+    z = beta * np.array([tpo_delta(policy, reference, pr) for pr in pairs])
+    loss = float(np.mean(np.log1p(np.exp(-z))))
+    coeff = -beta / (1.0 + np.exp(z)) / len(pairs)
+    dWs = [np.zeros_like(W) for W in policy.weights]
+    dbs = [np.zeros_like(b) for b in policy.biases]
+    for c, pr in zip(coeff, pairs):
+        for rt, sign in ((pr.chosen, 1.0), (pr.rejected, -1.0)):
+            obs = np.array([np.concatenate([s.q, s.qd, rt.goal])
+                            for s in rt.trajectory.states[:-1]])
+            means, acts = surrogate.forward_normalized(policy, obs, keep_cache=True)
+            gW, gb, _ = surrogate.backward_from_delta(
+                policy, acts, c * sign * -(means - rt.executed_actions))
+            for acc, g in zip(dWs + dbs, gW + gb):
+                acc += g
+    return loss, dWs, dbs
+
+
+class TestBatchedPaths:
+    def test_lockstep_rollouts_match_single_rollouts(self):
+        pol = init_policy(2, seed=30)
+        children = np.random.SeedSequence(31).spawn(20)
+        batch = _rollout_batch(pol, PARAMS, GOAL, CFG, 25,
+                               [np.random.default_rng(c) for c in children])
+        for rt, child in zip(batch, children):
+            one = rollout_policy(pol, PARAMS, GOAL, CFG, 25,
+                                 np.random.default_rng(child))
+            np.testing.assert_allclose(rt.executed_actions, one.executed_actions,
+                                       rtol=0, atol=1e-12)
+            for s, s1 in zip(rt.trajectory.states, one.trajectory.states):
+                np.testing.assert_allclose(s.as_vector(), s1.as_vector(),
+                                           rtol=0, atol=1e-12)
+            assert abs(rt.reward - one.reward) <= 1e-12
+            assert len(rt.trajectory.poses) == 26
+            np.testing.assert_allclose(rt.trajectory.poses[-1].x[:2],
+                                       fk(rt.trajectory.states[-1].q, CFG).x[:2],
+                                       rtol=0, atol=1e-15)
+
+    def test_nan_weight_raises_in_batched_rollout(self):
+        pol = init_policy(2, hidden=(8, 8), seed=32)
+        pol.weights[1][0, 0] = np.nan
+        rngs = [np.random.default_rng(s) for s in range(6)]
+        with pytest.raises(ValueError):
+            _rollout_batch(pol, PARAMS, GOAL, CFG, 4, rngs)
+
+    def test_loss_and_gradients_match_sum_of_deltas(self):
+        pol = init_policy(2, hidden=(8, 8), seed=33)
+        ref = init_policy(2, hidden=(8, 8), seed=34)
+        trajs = [make_traj(ref, seed=s, horizon=5) for s in range(12)]
+        pairs = rank_and_pair(trajs, 5)
+        loss, dWs, dbs = tpo_loss(pol, ref, pairs, beta=0.4)
+        want, want_W, want_b = _loop_loss(pol, ref, pairs, beta=0.4)
+        assert loss == pytest.approx(want, rel=1e-12)
+        for got, exp in zip(dWs + dbs, want_W + want_b):
+            np.testing.assert_allclose(got, exp, rtol=1e-10, atol=1e-15)
+
+
+class TestCallCounts:
+    def test_one_cycle_batches_every_call(self, monkeypatch):
+        # a regression to one-rollout-at-a-time stepping or to a per-epoch
+        # reference pass changes these counts
+        calls = {"step_batch": 0, "forward_rows": []}
+        step_batch, forward = plant.step_batch, surrogate.forward_normalized
+
+        def counting_step_batch(*args, **kwargs):
+            calls["step_batch"] += 1
+            return step_batch(*args, **kwargs)
+
+        def counting_forward(model, X, *args, **kwargs):
+            calls["forward_rows"].append(len(X))
+            return forward(model, X, *args, **kwargs)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("batch-1 plant.step called")
+
+        monkeypatch.setattr(plant, "step_batch", counting_step_batch)
+        monkeypatch.setattr(plant, "step", no_step)
+        monkeypatch.setattr(plant, "fk", no_step)
+        monkeypatch.setattr(surrogate, "forward_normalized", counting_forward)
+        cfg = TpoConfig(m=3, rollouts_per_cycle=10, epochs_per_cycle=7,
+                        cycles=1, rollout_horizon=4, seed=3)
+        tpo_cycle(init_policy(2, hidden=(8, 8), seed=35), PARAMS, GOAL, cfg, CFG)
+        assert calls["step_batch"] == 2 * cfg.rollout_horizon
+        rows = calls["forward_rows"]
+        assert rows.count(cfg.rollouts_per_cycle) == 2 * cfg.rollout_horizon
+        pair_rows = 2 * cfg.m * cfg.rollout_horizon
+        assert rows.count(pair_rows) == cfg.epochs_per_cycle + 1
+        assert len(rows) == 2 * cfg.rollout_horizon + cfg.epochs_per_cycle + 1
