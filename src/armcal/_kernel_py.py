@@ -1,12 +1,9 @@
-"""Pure-numpy integration kernel (fallback backend).
+"""Numpy integration kernel.
 
-Same contract as the compiled kernel in ``_kernel_cy``: advance a batch of
-joint states through ``n_sub`` semi-implicit Euler substeps of a PD-controlled
-arm with smoothed Coulomb friction. Arrays are updated in place.
-
-This kernel alone can also carry forward-mode sensitivities of the state with
-respect to the per-row physical parameters through the same substeps; the
-compiled kernel mirrors the state update only.
+Advance a batch of joint states through ``n_sub`` semi-implicit Euler
+substeps of a PD-controlled arm with smoothed Coulomb friction, in place,
+optionally carrying forward-mode sensitivities of the state with respect to
+the per-row physical parameters through the same substeps.
 """
 
 import numpy as np

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plant import (Action, JointState, ParamBounds, PhysParams, PlantConfig,
-                    rollout, step_batch)
+                    rollout_batch, step_batch)
 
 EXCITATION_HOLD_STEPS = 10
 STD_FLOOR = 1e-8
@@ -84,22 +84,30 @@ def excitation_actions(horizon, n_joints, rng, hold=EXCITATION_HOLD_STEPS):
 def make_synthetic_real(theta_star: PhysParams, n_episodes, horizon,
                         cfg: PlantConfig, seed) -> EpisodeSet:
     """Roll the hidden-truth parameters from randomized initial states under
-    an excitation action sequence; record (optionally noisy) observations."""
+    an excitation action sequence; record (optionally noisy) observations.
+
+    Each episode draws its initial state, actions and noise seed from its
+    own spawned generator; all episodes then roll in one batch.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if n_episodes < 1:
         raise ValueError("need at least one episode")
-    root = np.random.SeedSequence(seed)
-    episodes = []
-    for ep_seed in root.spawn(n_episodes):
+    n = cfg.n_joints
+    q0, qd0, actions, noise_seeds = [], [], [], []
+    for ep_seed in np.random.SeedSequence(seed).spawn(n_episodes):
         rng = np.random.default_rng(ep_seed)
-        init = JointState(rng.uniform(-1.0, 1.0, cfg.n_joints),
-                          rng.uniform(-0.5, 0.5, cfg.n_joints))
-        actions = excitation_actions(horizon, cfg.n_joints, rng)
-        noise_seed = rng.integers(0, 2**63) if cfg.obs_noise_std > 0 else None
-        traj = rollout(theta_star, init, actions, cfg, noise_seed=noise_seed)
-        episodes.append(Episode(tuple(actions), traj.states))
-    return EpisodeSet(tuple(episodes), source="synthetic-real")
+        q0.append(rng.uniform(-1.0, 1.0, n))
+        qd0.append(rng.uniform(-0.5, 0.5, n))
+        actions.append(tuple(excitation_actions(horizon, n, rng)))
+        noise_seeds.append(rng.integers(0, 2**63) if cfg.obs_noise_std > 0 else None)
+    targets = np.array([[a.target_q for a in acts] for acts in actions])
+    q, qd = rollout_batch(theta_star.as_array(), q0, qd0, targets, cfg,
+                          noise_seeds)
+    episodes = tuple(
+        Episode(acts, tuple(JointState(*s) for s in zip(q[b], qd[b])))
+        for b, acts in enumerate(actions))
+    return EpisodeSet(episodes, source="synthetic-real")
 
 
 def episode_arrays(episodes: EpisodeSet):

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import datagen, surrogate
 from .metrics import TrajErrorReport
-from .plant import (ParamBounds, PhysParams, PlantConfig, fk_positions, rollout,
-                    step_batch_sensitivities)
+from .plant import (ParamBounds, PhysParams, PlantConfig, fk_positions,
+                    rollout_batch, step_batch_sensitivities)
 
 
 @dataclass(frozen=True)
@@ -207,6 +207,13 @@ LM_TOL = 1e-10
 # lowers the cost and the run ends.
 LM_INITIAL_DAMPING = 1e-3
 LM_MAX_DAMPING = 1e12
+# A run from the bounds midpoint can stop at a stationary point that is not
+# the least-squares minimum, with f off. When it ends with more than
+# LM_RESTART_REL_COST of its starting cost left, LM also runs from these
+# bound-scaled f values, with p and d at the midpoint, and the lowest final
+# cost wins.
+LM_RESTART_F = (0.3, 0.7)
+LM_RESTART_REL_COST = 1e-20
 
 
 def make_one_step_residuals(episodes, plant_cfg):
@@ -236,27 +243,41 @@ def gauss_newton_params(episodes, bounds: ParamBounds, plant_cfg: PlantConfig):
     """Damped Gauss-Newton (Levenberg-Marquardt) on the one-step residuals of
     make_one_step_residuals, in bound-scaled coordinates u in [0, 1]^3.
 
-    Starts at the bounds midpoint. Each step solves
+    Starts at the bounds midpoint; when that run leaves residual cost, also
+    starts from each f in LM_RESTART_F and keeps the run of lowest final
+    cost (the midpoint's on ties). Each step solves
     (J^T J + lam * diag(J^T J)) s = -J^T r over the free coordinates, then
     projects onto the bounds. A coordinate is held fixed when its bound
     interval is collapsed, when the residuals do not depend on it (no
     excitation), or when it sits on a bound with the gradient pointing
-    outward; the damping carries what rank deficiency remains. Stops after
-    LM_MAX_ITERATIONS, at zero cost or gradient, when an accepted step is at
-    most LM_TOL, or when damping past LM_MAX_DAMPING finds no lower cost.
+    outward; the damping carries what rank deficiency remains. A run stops
+    after LM_MAX_ITERATIONS, at zero cost or gradient, when an accepted step
+    is at most LM_TOL, or when damping past LM_MAX_DAMPING finds no lower
+    cost.
 
     Returns (fitted params, mean squared residual at the start and after
-    each accepted step).
+    each accepted step of the winning run).
     """
     if not episodes.episodes:
         raise ValueError("no episodes to fit against")
     residuals = make_one_step_residuals(episodes, plant_cfg)
     lows, span = bounds.lows(), bounds.highs() - bounds.lows()
-    u = np.full(3, 0.5)
+    u, curve = _levenberg_marquardt(residuals, lows, span, np.full(3, 0.5))
+    if curve[-1] > LM_RESTART_REL_COST * curve[0]:
+        for f_start in LM_RESTART_F:
+            u_alt, curve_alt = _levenberg_marquardt(
+                residuals, lows, span, np.array([f_start, 0.5, 0.5]))
+            if curve_alt[-1] < curve[-1]:
+                u, curve = u_alt, curve_alt
+    return PhysParams.from_array(bounds.clip(lows + u * span)), curve
+
+
+def _levenberg_marquardt(residuals, lows, span, u):
+    """One LM run from bound-scaled u; returns (final u, cost curve)."""
     r, J = residuals(lows + u * span)
     cost = float(r @ r)
     if not np.isfinite(cost):
-        raise RuntimeError("non-finite residuals at the bounds midpoint")
+        raise RuntimeError(f"non-finite residuals at the start u={u.tolist()}")
     curve = [cost / r.size]
     lam = LM_INITIAL_DAMPING
     for _ in range(LM_MAX_ITERATIONS):
@@ -285,24 +306,31 @@ def gauss_newton_params(episodes, bounds: ParamBounds, plant_cfg: PlantConfig):
         curve.append(cost / r.size)
         if moved <= LM_TOL:
             break
-    return PhysParams.from_array(bounds.clip(lows + u * span)), curve
+    return u, curve
 
 
 # --- evaluation -------------------------------------------------------------
 
 def evaluate_params(params: PhysParams, episodes, plant_cfg: PlantConfig):
     """Open-loop rollout per episode under `params`; pose errors of simulated
-    vs observed sequences, averaged across episodes."""
+    vs observed sequences, averaged across episodes. Episodes of one horizon
+    roll as one batch."""
     if not episodes.episodes:
         raise ValueError("no evaluation episodes")
-    trans_all, rot_all = [], []
-    for ep in episodes.episodes:
-        traj = rollout(params, ep.init, list(ep.actions), plant_cfg)
-        q_sim = np.array([s.q for s in traj.states])
-        q_obs = np.array([s.q for s in ep.observed])
-        trans, rot = planar_pose_errors(q_sim, q_obs, plant_cfg)
-        trans_all.append(trans)
-        rot_all.append(rot)
+    eps = episodes.episodes
+    trans_all, rot_all = np.empty(len(eps)), np.empty(len(eps))
+    by_horizon = {}
+    for i, ep in enumerate(eps):
+        by_horizon.setdefault(ep.horizon, []).append(i)
+    for idx in by_horizon.values():
+        group = [eps[i] for i in idx]
+        targets = np.array([[a.target_q for a in ep.actions] for ep in group])
+        q_sim, _ = rollout_batch(params.as_array(),
+                                 [ep.init.q for ep in group],
+                                 [ep.init.qd for ep in group], targets, plant_cfg)
+        for i, ep, q in zip(idx, group, q_sim):
+            q_obs = np.array([s.q for s in ep.observed])
+            trans_all[i], rot_all[i] = planar_pose_errors(q, q_obs, plant_cfg)
     trans = float(np.mean(trans_all))
     rot = float(np.mean(rot_all))
     return TrajErrorReport(trans + rot, rot, trans)

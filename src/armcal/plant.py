@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernel_py, backend
+from . import _kernel_py
 
 
 @dataclass(frozen=True)
@@ -174,22 +174,22 @@ def _check_dims(params, state, action, cfg):
 
 
 def step_batch(params_fpd, q, qd, target, cfg: PlantConfig):
-    """Advance a (B, N) batch one action through the active kernel, in place.
+    """Advance a (B, N) batch one action, in place.
 
     params_fpd is (B, 3) with columns f, p, d.
     """
     params_fpd = np.asarray(params_fpd, dtype=float)
-    backend.substep_batch(q, qd, target,
-                          np.ascontiguousarray(params_fpd[:, 0]),
-                          np.ascontiguousarray(params_fpd[:, 1]),
-                          np.ascontiguousarray(params_fpd[:, 2]),
-                          cfg.inv_inertia(), cfg.dt,
-                          cfg.substeps_per_action, cfg.friction_smoothing)
+    _kernel_py.substep_batch(q, qd, target,
+                             np.ascontiguousarray(params_fpd[:, 0]),
+                             np.ascontiguousarray(params_fpd[:, 1]),
+                             np.ascontiguousarray(params_fpd[:, 2]),
+                             cfg.inv_inertia(), cfg.dt,
+                             cfg.substeps_per_action, cfg.friction_smoothing)
 
 
 def step_batch_sensitivities(params_fpd, q, qd, target, cfg: PlantConfig):
-    """step_batch through the numpy kernel, also propagating forward-mode
-    sensitivities of the state with respect to each row's (f, p, d).
+    """step_batch, also propagating forward-mode sensitivities of the state
+    with respect to each row's (f, p, d).
 
     The starting state is treated as fixed (zero sensitivity), as in a
     teacher-forced one-step prediction. q and qd are advanced in place.
@@ -257,31 +257,50 @@ def fk_poses(q_seq, cfg: PlantConfig):
     return [EePose(pos[i], _rot_z(ang[i])) for i in range(len(pos))]
 
 
+def rollout_batch(params_fpd, q0, qd0, targets, cfg: PlantConfig,
+                  noise_seeds=None):
+    """Roll B initial states (B, N) under their own (B, T, N) joint targets,
+    one step_batch call per time step for the whole batch.
+
+    params_fpd is (3,) or (B, 3) with columns f, p, d. Returns the recorded
+    (q, qd), each (B, T + 1, N), starting with the initial states. With
+    obs_noise_std > 0, rollout b whose noise_seeds[b] is not None gets i.i.d.
+    Gaussian noise on its records from its own generator, first on q, then
+    on qd; the dynamics stay noise-free.
+    """
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 3 or targets.shape[1] < 1:
+        raise ValueError("rollout needs a non-empty action sequence")
+    B, T, n = targets.shape
+    q = np.array(q0, dtype=float)
+    qd = np.array(qd0, dtype=float)
+    if n != cfg.n_joints or q.shape != (B, n) or qd.shape != (B, n):
+        raise ValueError(f"dimension mismatch: expected {B} states of "
+                         f"{cfg.n_joints} joints")
+    fpd = np.broadcast_to(np.asarray(params_fpd, dtype=float), (B, 3))
+    q_rec = np.empty((B, T + 1, n))
+    qd_rec = np.empty((B, T + 1, n))
+    q_rec[:, 0], qd_rec[:, 0] = q, qd
+    for t in range(T):
+        step_batch(fpd, q, qd, np.ascontiguousarray(targets[:, t]), cfg)
+        q_rec[:, t + 1], qd_rec[:, t + 1] = q, qd
+    if not (np.all(np.isfinite(q_rec)) and np.all(np.isfinite(qd_rec))):
+        raise ValueError("non-finite joint state")
+    if cfg.obs_noise_std > 0 and noise_seeds is not None:
+        for b, seed in enumerate(noise_seeds):
+            if seed is not None:
+                rng = np.random.default_rng(seed)
+                q_rec[b] += rng.normal(0.0, cfg.obs_noise_std, q_rec[b].shape)
+                qd_rec[b] += rng.normal(0.0, cfg.obs_noise_std, qd_rec[b].shape)
+    return q_rec, qd_rec
+
+
 def rollout(params: PhysParams, init: JointState, actions, cfg: PlantConfig,
             noise_seed=None) -> Trajectory:
-    """Chain step() over an action sequence; poses via fk.
-
-    With obs_noise_std > 0 and a seed, i.i.d. Gaussian noise is added to the
-    recorded states only; the dynamics stay noise-free.
-    """
-    if len(actions) < 1:
-        raise ValueError("rollout needs a non-empty action sequence")
-    _check_dims(params, init, actions[0], cfg)
-    q = init.q.copy()[None, :]
-    qd = init.qd.copy()[None, :]
-    fpd = params.as_array()[None, :]
-    q_rec = [init.q.copy()]
-    qd_rec = [init.qd.copy()]
-    for a in actions:
-        step_batch(fpd, q, qd, np.ascontiguousarray(a.target_q[None, :]), cfg)
-        q_rec.append(q[0].copy())
-        qd_rec.append(qd[0].copy())
-    q_rec = np.array(q_rec)
-    qd_rec = np.array(qd_rec)
-    if cfg.obs_noise_std > 0 and noise_seed is not None:
-        rng = np.random.default_rng(noise_seed)
-        q_rec = q_rec + rng.normal(0.0, cfg.obs_noise_std, q_rec.shape)
-        qd_rec = qd_rec + rng.normal(0.0, cfg.obs_noise_std, qd_rec.shape)
-    states = tuple(JointState(q_rec[i], qd_rec[i]) for i in range(len(q_rec)))
-    poses = tuple(fk_poses(q_rec, cfg))
+    """rollout_batch for one initial state; poses via fk."""
+    targets = np.array([[a.target_q for a in actions]])
+    q_rec, qd_rec = rollout_batch(params.as_array(), init.q[None, :],
+                                  init.qd[None, :], targets, cfg, [noise_seed])
+    states = tuple(JointState(q, qd) for q, qd in zip(q_rec[0], qd_rec[0]))
+    poses = tuple(fk_poses(q_rec[0], cfg))
     return Trajectory(states, tuple(actions), poses)

@@ -6,8 +6,11 @@ which round-trips IEEE doubles exactly, so re-serialization of a loaded
 artifact is byte-identical.
 """
 
+import contextlib
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -18,55 +21,96 @@ from .tpo import PolicyNet
 
 DATASET_KEYS = ("f", "p", "d", "state_q", "state_qd", "action", "next_q", "next_qd")
 REPORT_HEADER = "method,traj_err,rot_err,trans_err,time_s"
+# Dataset rows per block: the writer formats a block in one %-format call,
+# which keeps the per-float Python overhead off it, and the reader converts a
+# block of parsed rows to one array; the bound keeps the text and the Python
+# floats in memory small whatever the row count.
+DATASET_BLOCK_ROWS = 1024
+# f17 writes -0.0 as "-0", which would read back as the integer 0
+_DATASET_DECODER = json.JSONDecoder(parse_int=float)
 
 
 def f17(x):
     return format(float(x), ".17g")
 
 
-def _vec(values):
-    return "[" + ",".join(f17(v) for v in values) + "]"
-
-
 # --- transition dataset (JSON lines) ----------------------------------------
+
+def _dataset_template(n_joints):
+    """%-format template of one dataset line and its newline: the 3 + 5N
+    floats of a row in order, each as %.17g, which is f17's text."""
+    vec = "[" + ",".join(["%.17g"] * n_joints) + "]"
+    fields = ['"f":%.17g', '"p":%.17g', '"d":%.17g'] + [
+        f'"{key}":{vec}' for key in DATASET_KEYS[3:]]
+    return "{" + ",".join(fields) + "}\n"
+
 
 def dataset_line(row, n_joints):
     """One record row (3 + 5N floats) as a fixed-key-order JSON line."""
-    n = n_joints
-    parts = [f'"f":{f17(row[0])}', f'"p":{f17(row[1])}', f'"d":{f17(row[2])}',
-             f'"state_q":{_vec(row[3:3 + n])}',
-             f'"state_qd":{_vec(row[3 + n:3 + 2 * n])}',
-             f'"action":{_vec(row[3 + 2 * n:3 + 3 * n])}',
-             f'"next_q":{_vec(row[3 + 3 * n:3 + 4 * n])}',
-             f'"next_qd":{_vec(row[3 + 4 * n:3 + 5 * n])}']
-    return "{" + ",".join(parts) + "}"
+    values = np.asarray(row, dtype=float).tolist()
+    return (_dataset_template(n_joints) % tuple(values))[:-1]
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """Open a temporary file beside path for writing; on success it replaces
+    path, on any exception it is removed and path is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
 
 
 def write_dataset(path, rows, n_joints):
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(dataset_line(row, n_joints) + "\n")
+    """Write the (M, 3 + 5N) record matrix as JSON lines, DATASET_BLOCK_ROWS
+    rows per format call. The file appears only once it is complete."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 3 + 5 * n_joints:
+        raise ValueError(f"dataset rows must be (M, {3 + 5 * n_joints}), "
+                         f"got {rows.shape}")
+    template = _dataset_template(n_joints)
+    with _replacing(path) as fh:
+        for i in range(0, len(rows), DATASET_BLOCK_ROWS):
+            block = rows[i:i + DATASET_BLOCK_ROWS]
+            fh.write((template * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_dataset(path):
-    """Load a JSON-lines dataset back into the flat (M, 3 + 5N) layout."""
-    rows = []
+    """Load a JSON-lines dataset back into the flat (M, 3 + 5N) layout. Rows
+    are collected as lists and converted DATASET_BLOCK_ROWS at a time, which
+    bounds the memory held in Python floats."""
+    blocks, rows, width = [], [], None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                row = np.concatenate([[obj["f"], obj["p"], obj["d"]],
-                                      obj["state_q"], obj["state_qd"],
-                                      obj["action"], obj["next_q"], obj["next_qd"]])
+                obj = _DATASET_DECODER.decode(line)
+                row = [obj["f"], obj["p"], obj["d"], *obj["state_q"],
+                       *obj["state_qd"], *obj["action"], *obj["next_q"],
+                       *obj["next_qd"]]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: malformed dataset line {lineno}: {exc}")
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ValueError(f"{path}: malformed dataset line {lineno}: "
+                                 f"{len(row)} values, expected {width}")
             rows.append(row)
-    if not rows:
+            if len(rows) == DATASET_BLOCK_ROWS:
+                blocks.append(np.array(rows, dtype=float))
+                rows = []
+    if rows:
+        blocks.append(np.array(rows, dtype=float))
+    if not blocks:
         raise ValueError(f"{path}: empty dataset")
-    return np.array(rows)
+    return np.concatenate(blocks)
 
 
 # --- episodes ----------------------------------------------------------------
@@ -95,7 +139,7 @@ def episodes_from_json(doc):
 # --- misc JSON documents -----------------------------------------------------
 
 def dump_json(obj, path):
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(to_canonical_json(obj))
         fh.write("\n")
 

@@ -9,7 +9,7 @@ from armcal.datagen import (EXCITATION_HOLD_STEPS, STD_FLOOR, Episode,
                             generate_transition_arrays, make_synthetic_real,
                             sample_params, teacher_forced_next)
 from armcal.plant import (Action, JointState, ParamBounds, PhysParams,
-                          PlantConfig, step)
+                          PlantConfig, rollout, step)
 
 
 BOUNDS = ParamBounds()
@@ -99,6 +99,30 @@ class TestSyntheticReal:
                 state = step(truth, state, act, CFG)
                 np.testing.assert_array_equal(state.q, ep.observed[t + 1].q)
                 np.testing.assert_array_equal(state.qd, ep.observed[t + 1].qd)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    def test_batch_matches_per_episode_rollout(self, noise):
+        # each episode drawn from its own spawned generator and rolled on its
+        # own, as one rollout per episode: bit for bit the same records
+        cfg = PlantConfig(n_joints=3, obs_noise_std=noise)
+        truth = PhysParams(3.0, 80.0, 4.0)
+        eps = make_synthetic_real(truth, 4, 23, cfg, seed=11)
+        children = np.random.SeedSequence(11).spawn(4)
+        for ep, child in zip(eps.episodes, children):
+            rng = np.random.default_rng(child)
+            init = JointState(rng.uniform(-1.0, 1.0, 3), rng.uniform(-0.5, 0.5, 3))
+            actions = excitation_actions(23, 3, rng)
+            noise_seed = rng.integers(0, 2**63) if noise > 0 else None
+            traj = rollout(truth, init, actions, cfg, noise_seed=noise_seed)
+            for a, b in zip(actions, ep.actions):
+                np.testing.assert_array_equal(a.target_q, b.target_q)
+            for s_ref, s_got in zip(traj.states, ep.observed, strict=True):
+                np.testing.assert_array_equal(s_ref.q, s_got.q)
+                np.testing.assert_array_equal(s_ref.qd, s_got.qd)
+        if noise > 0:  # the noise really is on the records
+            clean = make_synthetic_real(truth, 4, 23, PlantConfig(n_joints=3), 11)
+            assert not np.array_equal(clean.episodes[0].observed[5].q,
+                                      eps.episodes[0].observed[5].q)
 
     def test_rejects_degenerate_sizes(self):
         truth = PhysParams(1.0, 10.0, 1.0)

@@ -4,7 +4,7 @@ evaluation plumbing, against independent closed-form oracles."""
 import numpy as np
 import pytest
 
-from armcal import datagen, metrics, surrogate
+from armcal import cli, datagen, identify, metrics, surrogate
 from armcal.identify import (AnnealConfig, GradPipelineConfig, RefineConfig,
                              anneal_params, evaluate_params,
                              gauss_newton_params, make_one_step_residuals,
@@ -12,7 +12,7 @@ from armcal.identify import (AnnealConfig, GradPipelineConfig, RefineConfig,
                              planar_pose_errors, recovery_error, refine_params,
                              run_gradient_pipeline)
 from armcal.plant import (Action, JointState, ParamBounds, PhysParams,
-                          PlantConfig, fk)
+                          PlantConfig, fk, rollout)
 
 BOUNDS = ParamBounds()
 CFG = PlantConfig()
@@ -279,6 +279,43 @@ class TestGaussNewton:
         with pytest.raises(ValueError):
             gauss_newton_params(datagen.EpisodeSet(()), BOUNDS, CFG)
 
+    @staticmethod
+    def cli_episodes(run_seed, truth, cfg):
+        """The fit episodes `armcal --seed run_seed identify` uses: the first
+        15 of the default 20 episodes of horizon 50."""
+        seed = cli._seeds({"run_seed": run_seed})["episodes"]
+        eps = datagen.make_synthetic_real(truth, 20, 50, cfg, seed)
+        return datagen.EpisodeSet(eps.episodes[:15])
+
+    def test_restart_escapes_midpoint_local_minimum(self):
+        # noise-free, yet the run from the bounds midpoint stops with f 7.85%
+        # off at a cost far above the truth's zero
+        truth = PhysParams(5.800630213841371, 220.47455896967847,
+                           24.488767148407582)
+        eps = self.cli_episodes(601701079, truth, CFG)
+        residuals = make_one_step_residuals(eps, CFG)
+        lows, span = BOUNDS.lows(), BOUNDS.highs() - BOUNDS.lows()
+        u_mid, curve_mid = identify._levenberg_marquardt(
+            residuals, lows, span, np.full(3, 0.5))
+        assert abs(lows[0] + u_mid[0] * span[0] - truth.f) / truth.f > 0.05
+        assert curve_mid[-1] > 1e-6
+        got, curve = gauss_newton_params(eps, BOUNDS, CFG)
+        np.testing.assert_allclose(got.as_array(), truth.as_array(), rtol=1e-9)
+        assert curve[-1] <= 1e-20 * curve[0]
+
+    def test_noisy_fit_costs_no_more_than_truth(self):
+        # with noisy observations the truth is not the least-squares minimum,
+        # but a fit that stops above the truth's cost has stopped early
+        cfg = PlantConfig(obs_noise_std=1e-3)
+        truth = PhysParams(8.0, 300.0, 20.0)
+        eps = self.cli_episodes(3, truth, cfg)
+        residuals = make_one_step_residuals(eps, cfg)
+        got, curve = gauss_newton_params(eps, BOUNDS, cfg)
+        r_fit, _ = residuals(got.as_array())
+        r_truth, _ = residuals(truth.as_array())
+        assert r_fit @ r_fit <= r_truth @ r_truth
+        assert curve[-1] == pytest.approx(r_fit @ r_fit / r_fit.size, rel=1e-12)
+
 
 class TestEvaluate:
     def test_truth_params_give_zero_error(self):
@@ -296,6 +333,27 @@ class TestEvaluate:
         assert rep.trajectory_error > 0.01
         assert rep.trajectory_error == pytest.approx(
             rep.rotation_error + rep.translation_error, abs=1e-12)
+
+    def test_batch_matches_per_episode_loop(self):
+        # ragged horizons, interleaved so that batching by horizon has to put
+        # every episode's errors back in its place
+        truth = PhysParams(2.0, 100.0, 5.0)
+        a = datagen.make_synthetic_real(truth, 3, 7, CFG, seed=1)
+        b = datagen.make_synthetic_real(truth, 2, 12, CFG, seed=2)
+        eps = datagen.EpisodeSet((a.episodes[0], b.episodes[0], a.episodes[1],
+                                  a.episodes[2], b.episodes[1]))
+        params = PhysParams(3.0, 80.0, 9.0)
+        trans, rot = [], []
+        for ep in eps.episodes:
+            traj = rollout(params, ep.init, list(ep.actions), CFG)
+            t, r = planar_pose_errors(np.array([s.q for s in traj.states]),
+                                      np.array([s.q for s in ep.observed]), CFG)
+            trans.append(t)
+            rot.append(r)
+        rep = evaluate_params(params, eps, CFG)
+        assert rep.translation_error == float(np.mean(trans))
+        assert rep.rotation_error == float(np.mean(rot))
+        assert rep.trajectory_error == float(np.mean(trans)) + float(np.mean(rot))
 
     def test_replay_energy_zero_at_truth(self):
         truth = PhysParams(3.0, 150.0, 9.0)

@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from armcal.plant import (Action, JointState, ParamBounds, PhysParams,
-                          PlantConfig, fk, rollout, step, step_batch,
-                          step_batch_sensitivities)
+                          PlantConfig, fk, rollout, rollout_batch, step,
+                          step_batch, step_batch_sensitivities)
 
 
 def one_joint_cfg(substeps=1, dt=0.01):
@@ -174,6 +174,35 @@ class TestRollout:
         # same seed reproduces the same noise
         again = rollout(params, init, actions, cfg, noise_seed=5)
         npt.assert_array_equal(noisy.states[2].q, again.states[2].q)
+
+    def test_batch_rows_match_single_rollouts(self):
+        # per-row parameters and noise seeds, one row without noise
+        cfg = PlantConfig(obs_noise_std=0.01)
+        rng = np.random.default_rng(3)
+        fpd = np.array([[1.0, 50.0, 2.0], [4.0, 300.0, 20.0], [0.5, 10.0, 1.0]])
+        q0 = rng.uniform(-1, 1, (3, 2))
+        qd0 = rng.uniform(-0.5, 0.5, (3, 2))
+        targets = rng.uniform(-np.pi, np.pi, (3, 9, 2))
+        seeds = [5, None, 7]
+        q, qd = rollout_batch(fpd, q0, qd0, targets, cfg, seeds)
+        assert q.shape == qd.shape == (3, 10, 2)
+        for b in range(3):
+            traj = rollout(PhysParams.from_array(fpd[b]), JointState(q0[b], qd0[b]),
+                           [Action(t) for t in targets[b]], cfg, noise_seed=seeds[b])
+            npt.assert_array_equal(q[b], [s.q for s in traj.states])
+            npt.assert_array_equal(qd[b], [s.qd for s in traj.states])
+
+    def test_batch_rejects_mismatched_shapes(self):
+        cfg = PlantConfig()
+        with pytest.raises(ValueError):
+            rollout_batch([1, 10, 1], np.zeros((2, 2)), np.zeros((2, 2)),
+                          np.zeros((3, 4, 2)), cfg)
+        with pytest.raises(ValueError):
+            rollout_batch([1, 10, 1], np.zeros((2, 3)), np.zeros((2, 3)),
+                          np.zeros((2, 4, 3)), cfg)
+        with pytest.raises(ValueError):
+            rollout_batch([1, 10, 1], np.zeros((2, 2)), np.zeros((2, 2)),
+                          np.zeros((2, 0, 2)), cfg)
 
     def test_empty_actions_rejected(self):
         with pytest.raises(ValueError):
