@@ -6,9 +6,9 @@ simulated-annealing baseline, plus preference-based policy fine-tuning."""
 __version__ = "0.1.0"
 
 from .plant import (Action, EePose, JointState, ParamBounds, PhysParams,
-                    PlantConfig, Trajectory, fk, rollout, step)
+                    PlantConfig, Trajectory, fk)
 
 __all__ = [
     "Action", "EePose", "JointState", "ParamBounds", "PhysParams",
-    "PlantConfig", "Trajectory", "fk", "rollout", "step", "__version__",
+    "PlantConfig", "Trajectory", "fk", "__version__",
 ]

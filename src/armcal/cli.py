@@ -251,10 +251,8 @@ def cmd_train_surrogate(config, stages, dataset_path):
     model = surrogate.train(model, data, stages["surrogate"])
     serialize.dump_json(serialize.checkpoint_to_json(model), out / "checkpoint.json")
     history = model.training_meta.get("loss_history", [])
-    with open(out / "train_loss.csv", "w") as fh:
-        fh.write("step,value\n")
-        for i, v in enumerate(history):
-            fh.write(f"{i},{serialize.f17(v)}\n")
+    serialize.write_text(out / "train_loss.csv", "step,value\n" + "".join(
+        f"{i},{serialize.f17(v)}\n" for i, v in enumerate(history)))
     _write_manifest(out, config, {"checkpoint": out / "checkpoint.json",
                                   "loss_curve": out / "train_loss.csv"})
     print(f"final training loss: {model.training_meta['final_loss']:.3e} "
@@ -329,8 +327,10 @@ def cmd_identify(config, stages, episodes_path, checkpoint_path, method):
         reports.append(_report("surrogate", sur_params, time.perf_counter() - t0,
                                eval_eps, plant_cfg, truth))
 
-    (out / "identify_report.csv").write_text(serialize.reports_to_csv(reports))
-    (out / "identify_report.md").write_text(serialize.reports_to_markdown(reports))
+    serialize.write_text(out / "identify_report.csv",
+                         serialize.reports_to_csv(reports))
+    serialize.write_text(out / "identify_report.md",
+                         serialize.reports_to_markdown(reports))
     best = min(reports, key=lambda r: r.trajectory_error)
     serialize.dump_json({"method": best.method,
                          **serialize.params_to_json(best.params)},
@@ -363,14 +363,9 @@ def cmd_tpo(config, stages, params_path):
 
     policy, reports = tpo.run_tpo(policy, params, np.array(t["goal"]),
                                   stages["tpo"], plant_cfg, on_cycle=show)
-    with open(out / "tpo_report.jsonl", "w") as fh:
-        for rep in reports:
-            fh.write(serialize.to_canonical_json({
-                "cycle": rep.cycle,
-                "mean_reward_before": rep.mean_reward_before,
-                "mean_reward_after": rep.mean_reward_after,
-                "loss_first": rep.loss_first,
-                "loss_last": rep.loss_last}) + "\n")
+    serialize.write_text(out / "tpo_report.jsonl", "".join(
+        serialize.to_canonical_json(dataclasses.asdict(rep)) + "\n"
+        for rep in reports))
     serialize.dump_json(serialize.policy_to_json(policy), out / "policy.json")
     _write_manifest(out, config, {"tpo_report": out / "tpo_report.jsonl",
                                   "policy": out / "policy.json"})
@@ -397,7 +392,7 @@ def cmd_plot(config, csv_path, svg_path):
         raise UsageError("CSV has no data rows")
     svg = serialize.curve_to_svg(steps, values, title=path.name)
     target = Path(svg_path) if svg_path else out / (path.stem + ".svg")
-    target.write_text(svg)
+    serialize.write_text(target, svg)
     print(f"wrote {target}")
     return 0
 

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import (Action, JointState, ParamBounds, PhysParams, PlantConfig,
-                    rollout_batch, step_batch)
+from .plant import ParamBounds, PhysParams, PlantConfig, rollout_batch, step_batch
 
 EXCITATION_HOLD_STEPS = 10
 STD_FLOOR = 1e-8
@@ -39,16 +38,25 @@ class NormStats:
 
 @dataclass(frozen=True)
 class Episode:
-    actions: tuple
-    observed: tuple  # JointState sequence, length len(actions) + 1
+    """Recorded joint targets (T, N) and observed q, qd (T + 1, N), the
+    first row of q and qd being the initial state."""
+
+    actions: np.ndarray
+    q: np.ndarray
+    qd: np.ndarray
 
     def __post_init__(self):
-        if len(self.observed) != len(self.actions) + 1:
-            raise ValueError("episode length mismatch")
-
-    @property
-    def init(self):
-        return self.observed[0]
+        actions, q, qd = (np.ascontiguousarray(a, dtype=float)
+                          for a in (self.actions, self.q, self.qd))
+        if (actions.ndim != 2 or len(actions) < 1 or q.shape != qd.shape
+                or q.shape != (len(actions) + 1, actions.shape[1])):
+            raise ValueError(f"episode shape mismatch: actions {actions.shape}, "
+                             f"q {q.shape}, qd {qd.shape}")
+        if not all(np.all(np.isfinite(a)) for a in (actions, q, qd)):
+            raise ValueError("non-finite episode record")
+        object.__setattr__(self, "actions", actions)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "qd", qd)
 
     @property
     def horizon(self):
@@ -77,8 +85,7 @@ def excitation_actions(horizon, n_joints, rng, hold=EXCITATION_HOLD_STEPS):
     equilibrium."""
     n_segments = int(np.ceil(horizon / hold))
     levels = rng.uniform(-np.pi, np.pi, (n_segments, n_joints))
-    targets = np.repeat(levels, hold, axis=0)[:horizon]
-    return [Action(t) for t in targets]
+    return np.repeat(levels, hold, axis=0)[:horizon]
 
 
 def make_synthetic_real(theta_star: PhysParams, n_episodes, horizon,
@@ -94,39 +101,33 @@ def make_synthetic_real(theta_star: PhysParams, n_episodes, horizon,
     if n_episodes < 1:
         raise ValueError("need at least one episode")
     n = cfg.n_joints
-    q0, qd0, actions, noise_seeds = [], [], [], []
+    q0, qd0, targets, noise_seeds = [], [], [], []
     for ep_seed in np.random.SeedSequence(seed).spawn(n_episodes):
         rng = np.random.default_rng(ep_seed)
         q0.append(rng.uniform(-1.0, 1.0, n))
         qd0.append(rng.uniform(-0.5, 0.5, n))
-        actions.append(tuple(excitation_actions(horizon, n, rng)))
+        targets.append(excitation_actions(horizon, n, rng))
         noise_seeds.append(rng.integers(0, 2**63) if cfg.obs_noise_std > 0 else None)
-    targets = np.array([[a.target_q for a in acts] for acts in actions])
     q, qd = rollout_batch(theta_star.as_array(), q0, qd0, targets, cfg,
                           noise_seeds)
-    episodes = tuple(
-        Episode(acts, tuple(JointState(*s) for s in zip(q[b], qd[b])))
-        for b, acts in enumerate(actions))
+    episodes = tuple(Episode(targets[b], q[b], qd[b])
+                     for b in range(n_episodes))
     return EpisodeSet(episodes, source="synthetic-real")
 
 
 def episode_arrays(episodes: EpisodeSet):
     """Stack all (state, action, observed next state) triples of an episode
     set into flat arrays: q (M, N), qd (M, N), a (M, N), next_q, next_qd."""
-    qs, qds, acts, nqs, nqds = [], [], [], [], []
-    for ep in episodes.episodes:
-        for t in range(ep.horizon):
-            qs.append(ep.observed[t].q)
-            qds.append(ep.observed[t].qd)
-            acts.append(ep.actions[t].target_q)
-            nqs.append(ep.observed[t + 1].q)
-            nqds.append(ep.observed[t + 1].qd)
-    return (np.array(qs), np.array(qds), np.array(acts),
-            np.array(nqs), np.array(nqds))
+    eps = episodes.episodes
+    return (np.concatenate([ep.q[:-1] for ep in eps]),
+            np.concatenate([ep.qd[:-1] for ep in eps]),
+            np.concatenate([ep.actions for ep in eps]),
+            np.concatenate([ep.q[1:] for ep in eps]),
+            np.concatenate([ep.qd[1:] for ep in eps]))
 
 
 def teacher_forced_next(params_fpd, q, qd, targets, cfg: PlantConfig):
-    """Batched step() from recorded states: one kernel call for all rows."""
+    """One step from each recorded state: one step_batch call for all rows."""
     q2 = np.ascontiguousarray(q, dtype=float).copy()
     qd2 = np.ascontiguousarray(qd, dtype=float).copy()
     step_batch(np.asarray(params_fpd, dtype=float), q2, qd2,

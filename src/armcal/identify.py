@@ -324,13 +324,12 @@ def evaluate_params(params: PhysParams, episodes, plant_cfg: PlantConfig):
         by_horizon.setdefault(ep.horizon, []).append(i)
     for idx in by_horizon.values():
         group = [eps[i] for i in idx]
-        targets = np.array([[a.target_q for a in ep.actions] for ep in group])
         q_sim, _ = rollout_batch(params.as_array(),
-                                 [ep.init.q for ep in group],
-                                 [ep.init.qd for ep in group], targets, plant_cfg)
+                                 [ep.q[0] for ep in group],
+                                 [ep.qd[0] for ep in group],
+                                 [ep.actions for ep in group], plant_cfg)
         for i, ep, q in zip(idx, group, q_sim):
-            q_obs = np.array([s.q for s in ep.observed])
-            trans_all[i], rot_all[i] = planar_pose_errors(q, q_obs, plant_cfg)
+            trans_all[i], rot_all[i] = planar_pose_errors(q, ep.q, plant_cfg)
     trans = float(np.mean(trans_all))
     rot = float(np.mean(rot_all))
     return TrajErrorReport(trans + rot, rot, trans)

@@ -1,4 +1,4 @@
-"""Error metrics on pose and state sequences.
+"""Error metrics on pose sequences.
 
 The trajectory error is the sum of a mean translational distance (meters) and
 a mean rotational angle error (radians). The rotation term maps the Frobenius
@@ -71,16 +71,3 @@ def trajectory_error(pred, gt, with_per_step=False):
         per_step = tuple(np.linalg.norm(diff, axis=1)
                          + np.arcsin(np.clip(frob / _MAX_FROB, 0.0, 1.0)))
     return TrajErrorReport(trans + rot, rot, trans, per_step)
-
-
-def state_mse(pred, target):
-    """Mean squared Euclidean distance between (q, qd) state sequences."""
-    if len(pred) == 0 or len(target) == 0:
-        raise ValueError("empty state sequence")
-    if len(pred) != len(target):
-        raise ValueError(f"length mismatch: {len(pred)} vs {len(target)}")
-    a = np.array([s.as_vector() for s in pred])
-    b = np.array([s.as_vector() for s in target])
-    if a.shape != b.shape:
-        raise ValueError("state dimension mismatch")
-    return float(np.mean(np.sum((a - b) ** 2, axis=1)))

@@ -11,7 +11,7 @@ fixed number of substeps per action. The three scalars (f, p, d) are shared
 across joints and are the quantities the identification pipeline recovers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,9 +117,6 @@ class JointState:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "qd", qd)
 
-    def as_vector(self):
-        return np.concatenate([self.q, self.qd])
-
 
 @dataclass(frozen=True)
 class Action:
@@ -167,12 +164,6 @@ class Trajectory:
         return len(self.actions)
 
 
-def _check_dims(params, state, action, cfg):
-    n = cfg.n_joints
-    if state.q.shape[0] != n or action.target_q.shape[0] != n:
-        raise ValueError(f"dimension mismatch: expected {n} joints")
-
-
 def step_batch(params_fpd, q, qd, target, cfg: PlantConfig):
     """Advance a (B, N) batch one action, in place.
 
@@ -207,16 +198,6 @@ def step_batch_sensitivities(params_fpd, q, qd, target, cfg: PlantConfig):
                              cfg.substeps_per_action, cfg.friction_smoothing,
                              sens=(sq, sqd))
     return sq, sqd
-
-
-def step(params: PhysParams, state: JointState, action: Action, cfg: PlantConfig) -> JointState:
-    """One control step: substeps_per_action semi-implicit Euler substeps."""
-    _check_dims(params, state, action, cfg)
-    q = state.q.copy()[None, :]
-    qd = state.qd.copy()[None, :]
-    target = np.ascontiguousarray(action.target_q[None, :])
-    step_batch(params.as_array()[None, :], q, qd, target, cfg)
-    return JointState(q[0], qd[0])
 
 
 def fk(q, cfg: PlantConfig) -> EePose:
@@ -293,14 +274,3 @@ def rollout_batch(params_fpd, q0, qd0, targets, cfg: PlantConfig,
                 q_rec[b] += rng.normal(0.0, cfg.obs_noise_std, q_rec[b].shape)
                 qd_rec[b] += rng.normal(0.0, cfg.obs_noise_std, qd_rec[b].shape)
     return q_rec, qd_rec
-
-
-def rollout(params: PhysParams, init: JointState, actions, cfg: PlantConfig,
-            noise_seed=None) -> Trajectory:
-    """rollout_batch for one initial state; poses via fk."""
-    targets = np.array([[a.target_q for a in actions]])
-    q_rec, qd_rec = rollout_batch(params.as_array(), init.q[None, :],
-                                  init.qd[None, :], targets, cfg, [noise_seed])
-    states = tuple(JointState(q, qd) for q, qd in zip(q_rec[0], qd_rec[0]))
-    poses = tuple(fk_poses(q_rec[0], cfg))
-    return Trajectory(states, tuple(actions), poses)

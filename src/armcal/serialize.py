@@ -1,9 +1,11 @@
 """File formats: JSON-lines transition datasets, episode files, checkpoints,
 report CSV/markdown, and the loss-curve SVG plot.
 
-All floating-point values are written as decimal with 17 significant digits,
-which round-trips IEEE doubles exactly, so re-serialization of a loaded
-artifact is byte-identical.
+Every float is written as a decimal that reads back as the same double, so
+re-serializing a loaded artifact is byte-identical. The dataset lines, the
+loss-curve CSV and the plot labels use %.17g (f17). The JSON documents use
+the shortest repr that round-trips, except that a float with an integral
+value below 1e17 in magnitude is written as an integer and -0.0 as 0.
 """
 
 import contextlib
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import Episode, EpisodeSet, NormStats
-from .plant import Action, JointState, ParamBounds, PhysParams
+from .plant import ParamBounds, PhysParams
 from .surrogate import MlpCheckpoint
 from .tpo import PolicyNet
 
@@ -116,41 +118,36 @@ def read_dataset(path):
 # --- episodes ----------------------------------------------------------------
 
 def episodes_to_json(episodes: EpisodeSet):
-    eps = []
-    for ep in episodes.episodes:
-        eps.append({
-            "actions": [[float(v) for v in a.target_q] for a in ep.actions],
-            "observed_q": [[float(v) for v in s.q] for s in ep.observed],
-            "observed_qd": [[float(v) for v in s.qd] for s in ep.observed],
-        })
-    return {"source": episodes.source, "episodes": eps}
+    return {"source": episodes.source,
+            "episodes": [{"actions": ep.actions.tolist(),
+                          "observed_q": ep.q.tolist(),
+                          "observed_qd": ep.qd.tolist()}
+                         for ep in episodes.episodes]}
 
 
 def episodes_from_json(doc):
-    eps = []
-    for e in doc["episodes"]:
-        actions = tuple(Action(np.array(a)) for a in e["actions"])
-        observed = tuple(JointState(np.array(q), np.array(qd))
-                         for q, qd in zip(e["observed_q"], e["observed_qd"]))
-        eps.append(Episode(actions, observed))
-    return EpisodeSet(tuple(eps), source=doc.get("source", "simulated"))
+    eps = tuple(Episode(e["actions"], e["observed_q"], e["observed_qd"])
+                for e in doc["episodes"])
+    return EpisodeSet(eps, source=doc.get("source", "simulated"))
 
 
 # --- misc JSON documents -----------------------------------------------------
 
-def dump_json(obj, path):
+def write_text(path, text):
+    """Write text to path through _replacing: all of it or nothing."""
     with _replacing(path) as fh:
-        fh.write(to_canonical_json(obj))
-        fh.write("\n")
+        fh.write(text)
+
+
+def dump_json(obj, path):
+    write_text(path, to_canonical_json(obj) + "\n")
 
 
 def to_canonical_json(obj):
-    """Deterministic JSON text: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON text: sorted keys, no spaces, each float as the
+    shortest repr that round-trips, integral floats below 1e17 in magnitude
+    as integers and -0.0 as 0 (what json makes of its f17 text)."""
     return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
-
-
-class _F(float):
-    pass
 
 
 def _jsonable(obj):

@@ -102,22 +102,20 @@ def policy_means(policy: PolicyNet, obs_rows):
     return surrogate.forward_normalized(policy, obs_rows)
 
 
-def _rollout_batch(policy: PolicyNet, params: PhysParams, goal, cfg: PlantConfig,
-                   horizon, rngs, init_state=None):
-    """Closed-loop rollouts in lockstep, one per generator in rngs, all from
-    init_state (rest by default). Returns a list of RankedTrajectory."""
+def _rollout_arrays(policy: PolicyNet, params: PhysParams, goal, cfg: PlantConfig,
+                    horizon, rngs):
+    """Closed-loop rollouts in lockstep from rest, one per generator in rngs.
+
+    Returns time-major qs, qds (T + 1, B, N), the executed actions (T, B, N)
+    and the rewards (B,)."""
     goal = np.asarray(goal, dtype=float)
     n, B = cfg.n_joints, len(rngs)
-    init_state = init_state or JointState(np.zeros(n), np.zeros(n))
-    if init_state.q.shape[0] != n:
-        raise ValueError(f"dimension mismatch: expected {n} joints")
     noise = np.stack([rng.normal(0.0, 1.0, (horizon, n)) for rng in rngs],
                      axis=1) * policy.exploration_std  # (T, B, N)
     qs = np.empty((horizon + 1, B, n))
     qds = np.empty((horizon + 1, B, n))
     executed = np.empty((horizon, B, n))
-    q = np.tile(init_state.q, (B, 1))
-    qd = np.tile(init_state.qd, (B, 1))
+    q, qd = np.zeros((B, n)), np.zeros((B, n))
     qs[0], qds[0] = q, qd
     fpd = np.broadcast_to(params.as_array(), (B, 3))
     goal_rows = np.broadcast_to(goal, (B, len(goal)))
@@ -130,9 +128,17 @@ def _rollout_batch(policy: PolicyNet, params: PhysParams, goal, cfg: PlantConfig
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qd))):
             raise ValueError("non-finite joint state")
         qs[t + 1], qds[t + 1] = q, qd
-
     pos, _ = plant.fk_positions(q, cfg)
-    rewards = -np.linalg.norm(pos[:, :2] - goal, axis=1)
+    return qs, qds, executed, -np.linalg.norm(pos[:, :2] - goal, axis=1)
+
+
+def _rollout_batch(policy: PolicyNet, params: PhysParams, goal, cfg: PlantConfig,
+                   horizon, rngs):
+    """_rollout_arrays as a list of RankedTrajectory."""
+    goal = np.asarray(goal, dtype=float)
+    qs, qds, executed, rewards = _rollout_arrays(policy, params, goal, cfg,
+                                                 horizon, rngs)
+    B, n = len(rngs), cfg.n_joints
     poses = plant.fk_poses(qs.reshape(-1, n), cfg)  # time-major: step t, rollout b at t*B + b
     out = []
     for b in range(B):
@@ -146,11 +152,11 @@ def _rollout_batch(policy: PolicyNet, params: PhysParams, goal, cfg: PlantConfig
 
 
 def rollout_policy(policy: PolicyNet, params: PhysParams, goal, cfg: PlantConfig,
-                   horizon, rng, init_state=None) -> RankedTrajectory:
-    """Closed-loop rollout with Gaussian exploration noise on the commanded
-    targets; reward is the negative terminal distance to the goal. The
-    one-rollout case of the lockstep batch."""
-    return _rollout_batch(policy, params, goal, cfg, horizon, [rng], init_state)[0]
+                   horizon, rng) -> RankedTrajectory:
+    """Closed-loop rollout from rest with Gaussian exploration noise on the
+    commanded targets; reward is the negative terminal distance to the goal.
+    The one-rollout case of the lockstep batch."""
+    return _rollout_batch(policy, params, goal, cfg, horizon, [rng])[0]
 
 
 def traj_log_prob(policy: PolicyNet, rt: RankedTrajectory) -> float:
@@ -300,9 +306,10 @@ def tpo_cycle(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
         surrogate.adam_step(arrays, dWs + dbs, m, v, t, cfg.learning_rate)
 
     after_seq = np.random.SeedSequence((cfg.seed, cycle_index, 1))
-    after_batch = _rollout_batch(policy, params, goal, plant_cfg, cfg.rollout_horizon,
-                                 _spawn_rngs(after_seq, cfg.rollouts_per_cycle))
-    mean_after = float(np.mean([t.reward for t in after_batch]))
+    *_, rewards_after = _rollout_arrays(
+        policy, params, goal, plant_cfg, cfg.rollout_horizon,
+        _spawn_rngs(after_seq, cfg.rollouts_per_cycle))
+    mean_after = float(np.mean(rewards_after))
     report = CycleReport(cycle_index, mean_before, mean_after,
                          loss_first if loss_first is not None else 0.0,
                          loss_last if loss_last is not None else 0.0)

@@ -262,6 +262,27 @@ class TestDeterminism:
             (b / "dataset.jsonl").read_text()
 
 
+class TestInterruptedWrites:
+    def test_failed_tpo_rerun_keeps_previous_report(self, tmp_path, monkeypatch):
+        serialize.dump_json({"f": 2.0, "p": 120.0, "d": 7.0},
+                            tmp_path / "identified_params.json")
+        assert run(tmp_path, "tpo") == 0
+        report = tmp_path / "tpo_report.jsonl"
+        before = report.read_bytes()
+        dump, calls = serialize.to_canonical_json, []
+
+        def fail_second_call(obj):
+            calls.append(obj)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return dump(obj)
+
+        monkeypatch.setattr(serialize, "to_canonical_json", fail_second_call)
+        assert run(tmp_path, "tpo") == 1
+        assert report.read_bytes() == before
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
 class TestConfigPlumbing:
     def test_config_file_merging(self, tmp_path):
         cfg = tmp_path / "cfg.json"

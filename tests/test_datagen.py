@@ -8,8 +8,8 @@ from armcal.datagen import (EXCITATION_HOLD_STEPS, STD_FLOOR, Episode,
                             episode_arrays, excitation_actions,
                             generate_transition_arrays, make_synthetic_real,
                             sample_params, teacher_forced_next)
-from armcal.plant import (Action, JointState, ParamBounds, PhysParams,
-                          PlantConfig, rollout, step)
+from armcal.plant import (ParamBounds, PhysParams, PlantConfig, rollout_batch,
+                          step_batch)
 
 
 BOUNDS = ParamBounds()
@@ -48,8 +48,7 @@ class TestSampleParams:
 class TestExcitation:
     def test_piecewise_constant_hold(self):
         rng = np.random.default_rng(0)
-        acts = excitation_actions(50, 2, rng)
-        targets = np.array([a.target_q for a in acts])
+        targets = excitation_actions(50, 2, rng)
         assert targets.shape == (50, 2)
         for seg in range(5):
             block = targets[seg * EXCITATION_HOLD_STEPS:
@@ -61,8 +60,7 @@ class TestExcitation:
 
     def test_range_and_partial_tail(self):
         rng = np.random.default_rng(3)
-        acts = excitation_actions(25, 3, rng)
-        targets = np.array([a.target_q for a in acts])
+        targets = excitation_actions(25, 3, rng)
         assert targets.shape == (25, 3)
         assert np.all(np.abs(targets) <= np.pi)
         # 25 = 2 full segments + a 5-step partial third
@@ -77,16 +75,16 @@ class TestSyntheticReal:
         assert eps.source == "synthetic-real"
         for ep in eps.episodes:
             assert ep.horizon == 12
-            assert len(ep.observed) == 13
+            assert ep.actions.shape == (12, 2)
+            assert ep.q.shape == ep.qd.shape == (13, 2)
         eps2 = make_synthetic_real(truth, 4, 12, CFG, seed=9)
         for e1, e2 in zip(eps.episodes, eps2.episodes):
-            for s1, s2 in zip(e1.observed, e2.observed):
-                assert np.array_equal(s1.q, s2.q)
-                assert np.array_equal(s1.qd, s2.qd)
+            assert np.array_equal(e1.q, e2.q)
+            assert np.array_equal(e1.qd, e2.qd)
 
     def test_episodes_distinct(self):
         eps = make_synthetic_real(PhysParams(1.0, 50.0, 2.0), 3, 5, CFG, 0)
-        inits = [ep.init.q for ep in eps.episodes]
+        inits = [ep.q[0] for ep in eps.episodes]
         assert not np.array_equal(inits[0], inits[1])
 
     def test_observed_matches_plant_replay(self):
@@ -94,11 +92,11 @@ class TestSyntheticReal:
         truth = PhysParams(3.0, 80.0, 4.0)
         eps = make_synthetic_real(truth, 2, 8, CFG, seed=4)
         for ep in eps.episodes:
-            state = ep.init
+            q, qd = ep.q[:1].copy(), ep.qd[:1].copy()
             for t, act in enumerate(ep.actions):
-                state = step(truth, state, act, CFG)
-                np.testing.assert_array_equal(state.q, ep.observed[t + 1].q)
-                np.testing.assert_array_equal(state.qd, ep.observed[t + 1].qd)
+                step_batch(truth.as_array()[None, :], q, qd, act[None, :], CFG)
+                np.testing.assert_array_equal(q[0], ep.q[t + 1])
+                np.testing.assert_array_equal(qd[0], ep.qd[t + 1])
 
     @pytest.mark.parametrize("noise", [0.0, 1e-3])
     def test_batch_matches_per_episode_rollout(self, noise):
@@ -110,19 +108,18 @@ class TestSyntheticReal:
         children = np.random.SeedSequence(11).spawn(4)
         for ep, child in zip(eps.episodes, children):
             rng = np.random.default_rng(child)
-            init = JointState(rng.uniform(-1.0, 1.0, 3), rng.uniform(-0.5, 0.5, 3))
+            q0, qd0 = rng.uniform(-1.0, 1.0, 3), rng.uniform(-0.5, 0.5, 3)
             actions = excitation_actions(23, 3, rng)
             noise_seed = rng.integers(0, 2**63) if noise > 0 else None
-            traj = rollout(truth, init, actions, cfg, noise_seed=noise_seed)
-            for a, b in zip(actions, ep.actions):
-                np.testing.assert_array_equal(a.target_q, b.target_q)
-            for s_ref, s_got in zip(traj.states, ep.observed, strict=True):
-                np.testing.assert_array_equal(s_ref.q, s_got.q)
-                np.testing.assert_array_equal(s_ref.qd, s_got.qd)
+            q, qd = rollout_batch(truth.as_array(), q0[None, :], qd0[None, :],
+                                  actions[None], cfg, [noise_seed])
+            np.testing.assert_array_equal(actions, ep.actions)
+            np.testing.assert_array_equal(q[0], ep.q)
+            np.testing.assert_array_equal(qd[0], ep.qd)
         if noise > 0:  # the noise really is on the records
             clean = make_synthetic_real(truth, 4, 23, PlantConfig(n_joints=3), 11)
-            assert not np.array_equal(clean.episodes[0].observed[5].q,
-                                      eps.episodes[0].observed[5].q)
+            assert not np.array_equal(clean.episodes[0].q[5],
+                                      eps.episodes[0].q[5])
 
     def test_rejects_degenerate_sizes(self):
         truth = PhysParams(1.0, 10.0, 1.0)
@@ -132,9 +129,8 @@ class TestSyntheticReal:
             make_synthetic_real(truth, 1, 0, CFG, 0)
 
     def test_episode_length_validation(self):
-        st = JointState([0.0, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError):
-            Episode((Action([0.0, 0.0]),), (st,))
+            Episode(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)))
 
 
 class TestDatasetGeneration:
@@ -160,12 +156,12 @@ class TestDatasetGeneration:
         data = generate_transition_arrays(eps, cands, CFG)
         n = CFG.n_joints
         for row in data[::7]:
-            out = step(PhysParams.from_array(row[:3]),
-                       JointState(row[3:3 + n], row[3 + n:3 + 2 * n]),
-                       Action(row[3 + 2 * n:3 + 3 * n]), CFG)
-            np.testing.assert_allclose(row[3 + 3 * n:3 + 4 * n], out.q,
+            q = row[None, 3:3 + n].copy()
+            qd = row[None, 3 + n:3 + 2 * n].copy()
+            step_batch(row[None, :3], q, qd, row[None, 3 + 2 * n:3 + 3 * n], CFG)
+            np.testing.assert_allclose(row[3 + 3 * n:3 + 4 * n], q[0],
                                        rtol=0, atol=1e-15)
-            np.testing.assert_allclose(row[3 + 4 * n:], out.qd,
+            np.testing.assert_allclose(row[3 + 4 * n:], qd[0],
                                        rtol=0, atol=1e-15)
 
     def test_truth_params_reproduce_observed_next(self):

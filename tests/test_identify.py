@@ -11,8 +11,7 @@ from armcal.identify import (AnnealConfig, GradPipelineConfig, RefineConfig,
                              make_replay_energy, minimize_projected_adam,
                              planar_pose_errors, recovery_error, refine_params,
                              run_gradient_pipeline)
-from armcal.plant import (Action, JointState, ParamBounds, PhysParams,
-                          PlantConfig, fk, rollout)
+from armcal.plant import ParamBounds, PhysParams, PlantConfig, fk, rollout_batch
 
 BOUNDS = ParamBounds()
 CFG = PlantConfig()
@@ -266,9 +265,8 @@ class TestGaussNewton:
         # every recorded state is at rest on its own target, so no parameter
         # moves the prediction: the Jacobian is zero (rank 0) while the
         # observed drift leaves the residuals nonzero
-        states = tuple(JointState(np.array([0.3, -0.2]) + 0.01 * t, np.zeros(2))
-                       for t in range(5))
-        ep = datagen.Episode(tuple(Action(s.q) for s in states[:-1]), states)
+        q = np.array([0.3, -0.2]) + 0.01 * np.arange(5)[:, None]
+        ep = datagen.Episode(q[:-1], q, np.zeros((5, 2)))
         got, curve = gauss_newton_params(datagen.EpisodeSet((ep,)), BOUNDS,
                                          CFG)
         np.testing.assert_allclose(
@@ -345,9 +343,9 @@ class TestEvaluate:
         params = PhysParams(3.0, 80.0, 9.0)
         trans, rot = [], []
         for ep in eps.episodes:
-            traj = rollout(params, ep.init, list(ep.actions), CFG)
-            t, r = planar_pose_errors(np.array([s.q for s in traj.states]),
-                                      np.array([s.q for s in ep.observed]), CFG)
+            q, _ = rollout_batch(params.as_array(), ep.q[:1], ep.qd[:1],
+                                 ep.actions[None], CFG)
+            t, r = planar_pose_errors(q[0], ep.q, CFG)
             trans.append(t)
             rot.append(r)
         rep = evaluate_params(params, eps, CFG)

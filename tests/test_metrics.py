@@ -2,9 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from armcal.metrics import (TrajErrorReport, rotation_error, state_mse,
-                            trajectory_error, translation_error)
-from armcal.plant import EePose, JointState
+from armcal.metrics import (TrajErrorReport, rotation_error, trajectory_error,
+                            translation_error)
+from armcal.plant import EePose
 
 
 def rot_z(a):
@@ -139,40 +139,3 @@ class TestTrajectoryError:
         # component values reported side by side must sum to the total column
         rot, trans = 0.1101, 0.1060
         assert rot + trans == pytest.approx(0.2161, abs=1e-12)
-
-
-class TestStateMse:
-    def s(self, q, qd):
-        return JointState(np.atleast_1d(q), np.atleast_1d(qd))
-
-    def test_equal_is_zero(self):
-        seq = [self.s([1, 2], [3, 4])]
-        assert state_mse(seq, seq) == 0.0
-
-    def test_hand_norm(self):
-        a = [self.s([1, 1], [0, 0])]
-        b = [self.s([0, 0], [0, 0])]
-        assert state_mse(a, b) == 2.0
-
-    def test_hand_mean(self):
-        a = [self.s([1, 1], [0, 0]), self.s([2, 0], [0, 0])]
-        b = [self.s([0, 0], [0, 0]), self.s([0, 0], [0, 0])]
-        assert state_mse(a, b) == 3.0
-
-    def test_mismatch(self):
-        with pytest.raises(ValueError):
-            state_mse([self.s([1], [1])], [])
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=4)
-        b = rng.normal(size=4)
-        # analytic gradient of mean squared norm wrt pred is 2*(a-b)/T, T=1
-        grad = 2.0 * (a - b)
-        h = 1e-6
-        for i in range(4):
-            ap = a.copy(); ap[i] += h
-            am = a.copy(); am[i] -= h
-            fd = (state_mse([self.s(ap[:2], ap[2:])], [self.s(b[:2], b[2:])])
-                  - state_mse([self.s(am[:2], am[2:])], [self.s(b[:2], b[2:])])) / (2 * h)
-            assert fd == pytest.approx(grad[i], rel=1e-6, abs=1e-9)

@@ -2,51 +2,61 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from armcal.plant import (Action, JointState, ParamBounds, PhysParams,
-                          PlantConfig, fk, rollout, rollout_batch, step,
-                          step_batch, step_batch_sensitivities)
+from armcal.plant import (JointState, ParamBounds, PhysParams, PlantConfig, fk,
+                          fk_positions, rollout_batch, step_batch,
+                          step_batch_sensitivities)
 
 
 def one_joint_cfg(substeps=1, dt=0.01):
     return PlantConfig(n_joints=1, dt=dt, substeps_per_action=substeps)
 
 
+def step1(params, q, qd, target, cfg):
+    """step_batch at B=1 on copies: the state after one action."""
+    q2 = np.array([q], dtype=float)
+    qd2 = np.array([qd], dtype=float)
+    step_batch(np.array([params], dtype=float), q2, qd2,
+               np.array([target], dtype=float), cfg)
+    return q2[0], qd2[0]
+
+
+def rollout1(params, q0, qd0, targets, cfg, noise_seed=None):
+    """rollout_batch at B=1: the recorded q, qd, each (T + 1, N)."""
+    q, qd = rollout_batch(params, [q0], [qd0], [targets], cfg, [noise_seed])
+    return q[0], qd[0]
+
+
 class TestStep:
     def test_force_free_drift(self):
         # p=0, d=0, f=0: velocity unchanged, position drifts by dt*qd
-        out = step(PhysParams(0, 0, 0), JointState([0.0], [1.0]),
-                   Action([0.0]), one_joint_cfg())
-        npt.assert_allclose(out.q, [0.01])
-        npt.assert_allclose(out.qd, [1.0])
+        q, qd = step1([0, 0, 0], [0.0], [1.0], [0.0], one_joint_cfg())
+        npt.assert_allclose(q, [0.01])
+        npt.assert_allclose(qd, [1.0])
 
     def test_single_substep_hand_computed(self):
         # tau = 100*0.1 = 10 (friction vanishes at qd=0), qd=0.1, q=0.001
-        out = step(PhysParams(5, 100, 0), JointState([0.0], [0.0]),
-                   Action([0.1]), one_joint_cfg())
-        npt.assert_allclose(out.qd, [0.1])
-        npt.assert_allclose(out.q, [0.001])
+        q, qd = step1([5, 100, 0], [0.0], [0.0], [0.1], one_joint_cfg())
+        npt.assert_allclose(qd, [0.1])
+        npt.assert_allclose(q, [0.001])
 
     def test_equilibrium_fixed_point(self):
-        state = JointState([0.3, -0.2], [0.0, 0.0])
-        out = step(PhysParams(3, 200, 10), state, Action([0.3, -0.2]),
-                   PlantConfig())
-        npt.assert_array_equal(out.q, state.q)
-        npt.assert_array_equal(out.qd, state.qd)
+        q, qd = step1([3, 200, 10], [0.3, -0.2], [0.0, 0.0], [0.3, -0.2],
+                      PlantConfig())
+        npt.assert_array_equal(q, [0.3, -0.2])
+        npt.assert_array_equal(qd, [0.0, 0.0])
 
     def test_pure_function_bit_identical(self):
-        params = PhysParams(1.5, 80.0, 4.0)
-        state = JointState([0.1, 0.2], [0.5, -0.3])
-        action = Action([1.0, -1.0])
-        cfg = PlantConfig()
-        a = step(params, state, action, cfg)
-        b = step(params, state, action, cfg)
-        npt.assert_array_equal(a.q, b.q)
-        npt.assert_array_equal(a.qd, b.qd)
+        args = ([1.5, 80.0, 4.0], [0.1, 0.2], [0.5, -0.3], [1.0, -1.0],
+                PlantConfig())
+        a = step1(*args)
+        b = step1(*args)
+        npt.assert_array_equal(a[0], b[0])
+        npt.assert_array_equal(a[1], b[1])
 
     def test_dimension_mismatch(self):
+        # a two-joint target on the one-joint plant, one action at B=1
         with pytest.raises(ValueError):
-            step(PhysParams(1, 10, 1), JointState([0.0], [0.0]),
-                 Action([0.0, 0.0]), one_joint_cfg())
+            rollout1([1, 10, 1], [0.0], [0.0], [[0.0, 0.0]], one_joint_cfg())
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -56,9 +66,8 @@ class TestStep:
         # with only friction acting, speed decreases for either sign of qd
         cfg = one_joint_cfg()
         for qd0 in (0.5, -0.5, 0.2, -0.2):
-            out = step(PhysParams(2, 0, 0), JointState([0.0], [qd0]),
-                       Action([0.0]), cfg)
-            assert abs(out.qd[0]) < abs(qd0)
+            _, qd = step1([2, 0, 0], [0.0], [qd0], [0.0], cfg)
+            assert abs(qd[0]) < abs(qd0)
 
 
 class TestSensitivities:
@@ -134,46 +143,41 @@ class TestFk:
 
 class TestRollout:
     def test_single_action_matches_step(self):
-        params = PhysParams(1, 50, 2)
-        init = JointState([0.1, -0.1], [0.0, 0.2])
-        action = Action([0.5, 0.5])
+        params, q0, qd0 = [1, 50, 2], [0.1, -0.1], [0.0, 0.2]
         cfg = PlantConfig()
-        traj = rollout(params, init, [action], cfg)
-        direct = step(params, init, action, cfg)
-        npt.assert_array_equal(traj.states[1].q, direct.q)
-        npt.assert_array_equal(traj.states[1].qd, direct.qd)
-        assert traj.horizon == 1
-        npt.assert_allclose(traj.poses[0].x, fk(init.q, cfg).x)
+        q, qd = rollout1(params, q0, qd0, [[0.5, 0.5]], cfg)
+        direct = step1(params, q0, qd0, [0.5, 0.5], cfg)
+        npt.assert_array_equal(q[1], direct[0])
+        npt.assert_array_equal(qd[1], direct[1])
+        assert q.shape == qd.shape == (2, 2)
+        npt.assert_array_equal(q[0], q0)
+        npt.assert_array_equal(qd[0], qd0)
 
     def test_deterministic_without_noise(self):
-        params = PhysParams(2, 100, 5)
-        init = JointState([0.0, 0.0], [0.1, 0.1])
-        actions = [Action([0.3, -0.3])] * 10
-        cfg = PlantConfig()
-        a = rollout(params, init, actions, cfg)
-        b = rollout(params, init, actions, cfg)
-        for sa, sb in zip(a.states, b.states):
-            npt.assert_array_equal(sa.q, sb.q)
+        args = ([2, 100, 5], [0.0, 0.0], [0.1, 0.1], [[0.3, -0.3]] * 10,
+                PlantConfig())
+        a = rollout1(*args)
+        b = rollout1(*args)
+        npt.assert_array_equal(a[0], b[0])
+        npt.assert_array_equal(a[1], b[1])
 
     def test_statics_all_poses_equal(self):
         # zero gains, zero initial velocity: nothing moves
-        init = JointState([0.4, 0.2], [0.0, 0.0])
         cfg = PlantConfig()
-        traj = rollout(PhysParams(0, 0, 0), init, [Action([1.0, 1.0])] * 5, cfg)
-        for pose in traj.poses:
-            npt.assert_array_equal(pose.x, traj.poses[0].x)
+        q, _ = rollout1([0, 0, 0], [0.4, 0.2], [0.0, 0.0], [[1.0, 1.0]] * 5, cfg)
+        pos, _ = fk_positions(q, cfg)
+        for x in pos:
+            npt.assert_array_equal(x, pos[0])
 
     def test_noise_applied_to_records_only(self):
         cfg = PlantConfig(obs_noise_std=0.01)
-        params = PhysParams(1, 50, 2)
-        init = JointState([0.0, 0.0], [0.0, 0.0])
-        actions = [Action([0.3, -0.3])] * 5
-        noisy = rollout(params, init, actions, cfg, noise_seed=5)
-        clean = rollout(params, init, actions, PlantConfig())
-        assert not np.array_equal(noisy.states[1].q, clean.states[1].q)
+        args = ([1, 50, 2], [0.0, 0.0], [0.0, 0.0], [[0.3, -0.3]] * 5)
+        noisy, _ = rollout1(*args, cfg, noise_seed=5)
+        clean, _ = rollout1(*args, PlantConfig())
+        assert not np.array_equal(noisy[1], clean[1])
         # same seed reproduces the same noise
-        again = rollout(params, init, actions, cfg, noise_seed=5)
-        npt.assert_array_equal(noisy.states[2].q, again.states[2].q)
+        again, _ = rollout1(*args, cfg, noise_seed=5)
+        npt.assert_array_equal(noisy[2], again[2])
 
     def test_batch_rows_match_single_rollouts(self):
         # per-row parameters and noise seeds, one row without noise
@@ -187,10 +191,10 @@ class TestRollout:
         q, qd = rollout_batch(fpd, q0, qd0, targets, cfg, seeds)
         assert q.shape == qd.shape == (3, 10, 2)
         for b in range(3):
-            traj = rollout(PhysParams.from_array(fpd[b]), JointState(q0[b], qd0[b]),
-                           [Action(t) for t in targets[b]], cfg, noise_seed=seeds[b])
-            npt.assert_array_equal(q[b], [s.q for s in traj.states])
-            npt.assert_array_equal(qd[b], [s.qd for s in traj.states])
+            q1, qd1 = rollout1(fpd[b], q0[b], qd0[b], targets[b], cfg,
+                               noise_seed=seeds[b])
+            npt.assert_array_equal(q[b], q1)
+            npt.assert_array_equal(qd[b], qd1)
 
     def test_batch_rejects_mismatched_shapes(self):
         cfg = PlantConfig()
@@ -206,16 +210,13 @@ class TestRollout:
 
     def test_empty_actions_rejected(self):
         with pytest.raises(ValueError):
-            rollout(PhysParams(1, 10, 1), JointState([0.0], [0.0]), [],
-                    one_joint_cfg())
+            rollout1([1, 10, 1], [0.0], [0.0], np.zeros((0, 1)), one_joint_cfg())
 
     def test_damped_return_to_hold_target(self):
         # holding the start position with f, d > 0 bleeds energy
-        cfg = PlantConfig()
-        init = JointState([0.2, -0.2], [1.0, -1.0])
-        traj = rollout(PhysParams(1, 50, 8), init,
-                       [Action([0.2, -0.2])] * 200, cfg)
-        assert np.sum(np.abs(traj.states[-1].qd)) < 1e-3
+        _, qd = rollout1([1, 50, 8], [0.2, -0.2], [1.0, -1.0],
+                         [[0.2, -0.2]] * 200, PlantConfig())
+        assert np.sum(np.abs(qd[-1])) < 1e-3
 
 
 class TestValidation:

@@ -83,11 +83,9 @@ class TestEpisodes:
         assert back.source == eps.source
         assert len(back.episodes) == 3
         for e1, e2 in zip(eps.episodes, back.episodes):
-            for a1, a2 in zip(e1.actions, e2.actions):
-                np.testing.assert_array_equal(a1.target_q, a2.target_q)
-            for s1, s2 in zip(e1.observed, e2.observed):
-                np.testing.assert_array_equal(s1.q, s2.q)
-                np.testing.assert_array_equal(s1.qd, s2.qd)
+            np.testing.assert_array_equal(e1.actions, e2.actions)
+            np.testing.assert_array_equal(e1.q, e2.q)
+            np.testing.assert_array_equal(e1.qd, e2.qd)
 
 
 class TestCanonicalJson:

@@ -298,8 +298,8 @@ class TestBatchedPaths:
             np.testing.assert_allclose(rt.executed_actions, one.executed_actions,
                                        rtol=0, atol=1e-12)
             for s, s1 in zip(rt.trajectory.states, one.trajectory.states):
-                np.testing.assert_allclose(s.as_vector(), s1.as_vector(),
-                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(s.q, s1.q, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(s.qd, s1.qd, rtol=0, atol=1e-12)
             assert abs(rt.reward - one.reward) <= 1e-12
             assert len(rt.trajectory.poses) == 26
             np.testing.assert_allclose(rt.trajectory.poses[-1].x[:2],
@@ -327,30 +327,39 @@ class TestBatchedPaths:
 
 class TestCallCounts:
     def test_one_cycle_batches_every_call(self, monkeypatch):
-        # a regression to one-rollout-at-a-time stepping or to a per-epoch
-        # reference pass changes these counts
-        calls = {"step_batch": 0, "forward_rows": []}
+        # a regression to one-rollout-at-a-time stepping, to a per-epoch
+        # reference pass or to objects for the after-update batch changes
+        # these counts
+        calls = {"step_batch": 0, "fk_poses": 0, "forward_rows": []}
         step_batch, forward = plant.step_batch, surrogate.forward_normalized
+        fk_poses = plant.fk_poses
 
         def counting_step_batch(*args, **kwargs):
             calls["step_batch"] += 1
             return step_batch(*args, **kwargs)
 
+        def counting_fk_poses(*args, **kwargs):
+            calls["fk_poses"] += 1
+            return fk_poses(*args, **kwargs)
+
         def counting_forward(model, X, *args, **kwargs):
             calls["forward_rows"].append(len(X))
             return forward(model, X, *args, **kwargs)
 
-        def no_step(*args, **kwargs):
-            raise AssertionError("batch-1 plant.step called")
+        def no_fk(*args, **kwargs):
+            raise AssertionError("per-step plant.fk called")
 
         monkeypatch.setattr(plant, "step_batch", counting_step_batch)
-        monkeypatch.setattr(plant, "step", no_step)
-        monkeypatch.setattr(plant, "fk", no_step)
+        monkeypatch.setattr(plant, "fk", no_fk)
+        monkeypatch.setattr(plant, "fk_poses", counting_fk_poses)
         monkeypatch.setattr(surrogate, "forward_normalized", counting_forward)
         cfg = TpoConfig(m=3, rollouts_per_cycle=10, epochs_per_cycle=7,
                         cycles=1, rollout_horizon=4, seed=3)
         tpo_cycle(init_policy(2, hidden=(8, 8), seed=35), PARAMS, GOAL, cfg, CFG)
         assert calls["step_batch"] == 2 * cfg.rollout_horizon
+        # poses, and the other per-step objects, only for the ranked batch;
+        # the after-update batch is scored from its arrays
+        assert calls["fk_poses"] == 1
         rows = calls["forward_rows"]
         assert rows.count(cfg.rollouts_per_cycle) == 2 * cfg.rollout_horizon
         pair_rows = 2 * cfg.m * cfg.rollout_horizon
