@@ -94,6 +94,8 @@ def _merge(base, override, prefix=""):
 
 
 def _apply_set(config, assignment):
+    """Apply one dotted KEY=VALUE override: a dict value merges into its
+    section as the same override in a --config file does."""
     if "=" not in assignment:
         raise UsageError(f"--set expects key=value, got {assignment!r}")
     key, _, raw = assignment.partition("=")
@@ -101,16 +103,13 @@ def _apply_set(config, assignment):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    *path, leaf = key.split(".")
     node = config
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
+    for part in path:
+        if not isinstance(node.get(part), dict):
             raise UsageError(f"unknown config key: {key}")
         node = node[part]
-    if parts[-1] not in node:
-        raise UsageError(f"unknown config key: {key}")
-    _check_type(key, node[parts[-1]], value)
-    node[parts[-1]] = value
+    node[leaf] = _merge(node, {leaf: value}, "".join(p + "." for p in path))[leaf]
 
 
 def load_config(args):
@@ -133,6 +132,10 @@ def load_config(args):
     return config
 
 
+def _finite_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _check_unbacked(config):
     """Range checks of the keys no config class holds."""
     for key in ("n_param_sets", "n_episodes", "horizon"):
@@ -140,10 +143,17 @@ def _check_unbacked(config):
             raise UsageError(f"datagen.{key} must be >= 1, "
                              f"got {config['datagen'][key]}")
     goal = config["tpo"]["goal"]
-    if not (len(goal) == 2 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v) for v in goal)):
+    if not (len(goal) == 2 and all(_finite_number(v) for v in goal)):
         raise UsageError(f"tpo.goal must be 2 finite numbers, got {goal!r}")
+    truth = config["datagen"]["truth"]
+    if truth is not None and not (
+            isinstance(truth, list) and len(truth) == 3
+            and all(_finite_number(v) and v >= 0 for v in truth)):
+        raise UsageError("datagen.truth must be null or 3 finite numbers >= 0 "
+                         f"(f, p, d), got {truth!r}")
+    if not 0 <= config["holdout_fraction"] < 1:
+        raise UsageError(f"holdout_fraction must be in [0, 1), "
+                         f"got {config['holdout_fraction']!r}")
     std = config["tpo"]["exploration_std"]
     if not (math.isfinite(std) and std >= 0):
         raise UsageError(f"tpo.exploration_std must be finite and >= 0, got {std!r}")

@@ -33,6 +33,8 @@ class RefineConfig:
     def __post_init__(self):
         if self.learning_rate <= 0 or self.max_steps < 1:
             raise ValueError("invalid refinement configuration")
+        if self.convergence_window < 1:
+            raise ValueError("convergence_window must be >= 1")
         if self.init not in ("best-sampled", "bounds-midpoint"):
             raise ValueError(f"unknown init mode {self.init!r}")
 

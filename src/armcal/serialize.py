@@ -146,8 +146,9 @@ def dump_json(obj, path):
 def to_canonical_json(obj):
     """Deterministic JSON text: sorted keys, no spaces, each float as the
     shortest repr that round-trips, integral floats below 1e17 in magnitude
-    as integers and -0.0 as 0 (what json makes of its f17 text)."""
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    as integers and -0.0 as 0. NaN and infinity raise ValueError."""
+    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 def _jsonable(obj):
@@ -158,7 +159,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        return json.loads(f17(obj))
+        return int(obj) if obj.is_integer() and abs(obj) < 1e17 else float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
@@ -200,8 +201,7 @@ def checkpoint_to_json(model: MlpCheckpoint):
     meta = {k: v for k, v in model.training_meta.items() if k != "loss_history"}
     return {
         "layer_dims": list(model.layer_dims),
-        "weights": [W for W in model.weights],
-        "biases": [b for b in model.biases],
+        "weights": list(model.weights), "biases": list(model.biases),
         "activation": model.activation,
         "norm_stats": norm_stats_to_json(model.norm_stats),
         "bounds": bounds_to_json(model.bounds),
@@ -213,8 +213,8 @@ def checkpoint_to_json(model: MlpCheckpoint):
 def checkpoint_from_json(doc):
     return MlpCheckpoint(
         tuple(doc["layer_dims"]),
-        [np.array(W) for W in doc["weights"]],
-        [np.array(b) for b in doc["biases"]],
+        [np.array(W, dtype=float) for W in doc["weights"]],
+        [np.array(b, dtype=float) for b in doc["biases"]],
         doc["activation"],
         norm_stats_from_json(doc["norm_stats"]),
         bounds_from_json(doc["bounds"]),
@@ -225,15 +225,14 @@ def checkpoint_from_json(doc):
 
 def policy_to_json(policy: PolicyNet):
     return {"layer_dims": list(policy.layer_dims),
-            "weights": [W for W in policy.weights],
-            "biases": [b for b in policy.biases],
+            "weights": list(policy.weights), "biases": list(policy.biases),
             "exploration_std": policy.exploration_std}
 
 
 def policy_from_json(doc):
     return PolicyNet(tuple(doc["layer_dims"]),
-                     [np.array(W) for W in doc["weights"]],
-                     [np.array(b) for b in doc["biases"]],
+                     [np.array(W, dtype=float) for W in doc["weights"]],
+                     [np.array(b, dtype=float) for b in doc["biases"]],
                      float(doc["exploration_std"]))
 
 

@@ -46,6 +46,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate < 0 or self.batch_size < 1 or self.max_epochs < 0:
             raise ValueError("invalid training configuration")
+        if self.plateau_window < 1:
+            raise ValueError("plateau_window must be >= 1")
 
 
 @dataclass

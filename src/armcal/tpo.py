@@ -12,18 +12,17 @@ the rejected one, relative to a frozen pre-update reference policy.
 Trajectory log-probability is the negative half sum of squared differences
 between the policy's mean actions and the actions actually executed.
 
-Both stages of a cycle are batched. The rollouts of a batch advance in
-lockstep: each time step is one policy forward over all B current states and
-one batch-B plant step. Each rollout still draws its exploration noise from
-its own generator, as one (horizon, N) block before the loop, which gives the
-same values as drawing one step at a time. The preference loss stacks the
-observation rows of all 2m paired trajectories once per cycle, with the
-reference log-probabilities, so that each epoch is one forward and one
-backward pass over those rows. A GEMM over many rows rounds differently from
-many single-row products, so mean actions can differ from those of a
-one-rollout-at-a-time loop in the last bit (a few 1e-16); reruns with the
-same seed are byte-identical. `traj_log_prob` and `tpo_delta` keep the
-per-trajectory definitions the batched loss is tested against.
+A cycle works on rollout arrays throughout: B rollouts advance in lockstep,
+one policy forward over all B states and one batch-B plant step per time
+step, each drawing its exploration noise from its own generator.
+`_pair_order` ranks the rewards into trajectory numbers, and the observation
+rows of those 2m trajectories are stacked once per cycle with their reference
+log-probabilities, so each epoch is one forward and one backward pass. A GEMM
+over many rows can round differently from single-row products in the last
+bit; reruns with the same seed are byte-identical. `RankedTrajectory` and
+`PreferencePair` are the object API for single trajectories; `traj_log_prob`
+and `tpo_delta` keep the per-trajectory definitions the batched loss is
+tested against.
 """
 
 from dataclasses import dataclass
@@ -82,6 +81,10 @@ class TpoConfig:
             raise ValueError("m must be >= 1")
         if self.rollout_horizon < 1:
             raise ValueError("rollout_horizon must be >= 1")
+        if self.epochs_per_cycle < 1:
+            raise ValueError("epochs_per_cycle must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
         if 2 * self.m > self.rollouts_per_cycle:
             raise ValueError("need at least 2m rollouts per cycle")
 
@@ -132,31 +135,19 @@ def _rollout_arrays(policy: PolicyNet, params: PhysParams, goal, cfg: PlantConfi
     return qs, qds, executed, -np.linalg.norm(pos[:, :2] - goal, axis=1)
 
 
-def _rollout_batch(policy: PolicyNet, params: PhysParams, goal, cfg: PlantConfig,
-                   horizon, rngs):
-    """_rollout_arrays as a list of RankedTrajectory."""
-    goal = np.asarray(goal, dtype=float)
-    qs, qds, executed, rewards = _rollout_arrays(policy, params, goal, cfg,
-                                                 horizon, rngs)
-    B, n = len(rngs), cfg.n_joints
-    poses = plant.fk_poses(qs.reshape(-1, n), cfg)  # time-major: step t, rollout b at t*B + b
-    out = []
-    for b in range(B):
-        traj = Trajectory(
-            tuple(JointState(qs[t, b], qds[t, b]) for t in range(horizon + 1)),
-            tuple(Action(executed[t, b]) for t in range(horizon)),
-            tuple(poses[b::B]))
-        out.append(RankedTrajectory(traj, executed[:, b].copy(), goal,
-                                    float(rewards[b])))
-    return out
-
-
 def rollout_policy(policy: PolicyNet, params: PhysParams, goal, cfg: PlantConfig,
                    horizon, rng) -> RankedTrajectory:
     """Closed-loop rollout from rest with Gaussian exploration noise on the
     commanded targets; reward is the negative terminal distance to the goal.
     The one-rollout case of the lockstep batch."""
-    return _rollout_batch(policy, params, goal, cfg, horizon, [rng])[0]
+    goal = np.asarray(goal, dtype=float)
+    qs, qds, executed, rewards = _rollout_arrays(policy, params, goal, cfg,
+                                                 horizon, [rng])
+    q, qd, a = qs[:, 0], qds[:, 0], executed[:, 0]
+    traj = Trajectory(tuple(JointState(q[t], qd[t]) for t in range(horizon + 1)),
+                      tuple(Action(a[t]) for t in range(horizon)),
+                      tuple(plant.fk_poses(q, cfg)))
+    return RankedTrajectory(traj, a.copy(), goal, float(rewards[0]))
 
 
 def traj_log_prob(policy: PolicyNet, rt: RankedTrajectory) -> float:
@@ -204,22 +195,18 @@ def _log_probs(policy, obs, executed, traj, n_traj):
     return log_prob, diff, acts
 
 
-def _pair_rows(reference: PolicyNet, pairs) -> _PairRows:
-    if not pairs:
+def _pair_rows(reference: PolicyNet, obs_blocks, executed_blocks) -> _PairRows:
+    """Stack per-trajectory (T_i, 2N + 2) observation and (T_i, N) executed
+    action blocks, given in the order chosen_0, rejected_0, chosen_1, ..."""
+    if not obs_blocks:
         raise ValueError("no preference pairs")
-    trajs = [rt for pr in pairs for rt in (pr.chosen, pr.rejected)]
-    obs, lengths = [], []
-    for rt in trajs:
-        T = len(rt.executed_actions)
-        rows = _obs_rows(rt.trajectory.states, rt.goal, T)
-        if len(rows) != T:
-            raise ValueError("action dimension mismatch")
-        obs.append(rows)
-        lengths.append(T)
-    obs = np.vstack(obs)
-    executed = np.vstack([rt.executed_actions for rt in trajs])
-    traj = np.repeat(np.arange(len(trajs)), lengths)
-    ref_log_prob, _, _ = _log_probs(reference, obs, executed, traj, len(trajs))
+    lengths = [len(a) for a in executed_blocks]
+    if [len(o) for o in obs_blocks] != lengths:
+        raise ValueError("action dimension mismatch")
+    obs = np.vstack(obs_blocks)
+    executed = np.vstack(executed_blocks)
+    traj = np.repeat(np.arange(len(lengths)), lengths)
+    ref_log_prob, _, _ = _log_probs(reference, obs, executed, traj, len(lengths))
     return _PairRows(obs, executed, traj, ref_log_prob)
 
 
@@ -249,22 +236,30 @@ def tpo_loss(policy: PolicyNet, reference: PolicyNet, pairs, beta):
 
     Returns (loss, dWs, dbs).
     """
-    return _pair_loss(policy, _pair_rows(reference, pairs), beta)
+    trajs = [rt for pr in pairs for rt in (pr.chosen, pr.rejected)]
+    rows = _pair_rows(reference,
+                      [_obs_rows(rt.trajectory.states, rt.goal,
+                                 len(rt.executed_actions)) for rt in trajs],
+                      [rt.executed_actions for rt in trajs])
+    return _pair_loss(policy, rows, beta)
+
+
+def _pair_order(rewards, m):
+    """Trajectory numbers chosen_0, rejected_0, chosen_1, ...: rank i of the
+    top m paired with rank i of the bottom m after a stable descending sort
+    by reward (ties keep input order)."""
+    n = len(rewards)
+    if n < 2 * m:
+        raise ValueError(f"need at least {2 * m} trajectories, got {n}")
+    order = np.argsort(-np.asarray(rewards, dtype=float), kind="stable")
+    return np.stack([order[:m], order[n - m:]], axis=1).ravel()
 
 
 def rank_and_pair(trajectories, m):
-    """Pair rank-i of the top-m with rank-i of the bottom-m after a stable
-    descending sort by reward (ties keep input order)."""
-    if len(trajectories) < 2 * m:
-        raise ValueError(f"need at least {2 * m} trajectories, got {len(trajectories)}")
-    rewards = np.array([t.reward for t in trajectories])
-    order = np.argsort(-rewards, kind="stable")
-    pairs = []
-    for i in range(m):
-        chosen = trajectories[order[i]]
-        rejected = trajectories[order[len(trajectories) - m + i]]
-        pairs.append(PreferencePair(chosen, rejected))
-    return pairs
+    """_pair_order over the trajectories' rewards, as PreferencePair objects."""
+    idx = _pair_order([t.reward for t in trajectories], m)
+    return [PreferencePair(trajectories[c], trajectories[r])
+            for c, r in zip(idx[0::2], idx[1::2])]
 
 
 @dataclass(frozen=True)
@@ -286,23 +281,27 @@ def tpo_cycle(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
     epochs_per_cycle gradient steps on the preference loss."""
     if seed_seq is None:
         seed_seq = np.random.SeedSequence((cfg.seed, cycle_index))
-    batch = _rollout_batch(policy, params, goal, plant_cfg, cfg.rollout_horizon,
-                           _spawn_rngs(seed_seq, cfg.rollouts_per_cycle))
-    mean_before = float(np.mean([t.reward for t in batch]))
+    goal = np.asarray(goal, dtype=float)
+    qs, qds, executed, rewards = _rollout_arrays(
+        policy, params, goal, plant_cfg, cfg.rollout_horizon,
+        _spawn_rngs(seed_seq, cfg.rollouts_per_cycle))
+    mean_before = float(np.mean(rewards))
+    obs = np.concatenate([qs[:-1], qds[:-1], np.broadcast_to(
+        goal, (*executed.shape[:2], len(goal)))], axis=2)  # (T, B, 2N + 2)
+    idx = _pair_order(rewards, cfg.m)
     # the policy before its first update is the frozen reference
-    rows = _pair_rows(policy, rank_and_pair(batch, cfg.m))
+    rows = _pair_rows(policy, [obs[:, i] for i in idx],
+                      [executed[:, i] for i in idx])
 
     arrays = policy.weights + policy.biases
     m = [np.zeros_like(a) for a in arrays]
     v = [np.zeros_like(a) for a in arrays]
-    loss_first = loss_last = None
+    losses = []
     for t in range(1, cfg.epochs_per_cycle + 1):
         loss, dWs, dbs = _pair_loss(policy, rows, cfg.beta)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite preference loss in cycle {cycle_index}")
-        if loss_first is None:
-            loss_first = loss
-        loss_last = loss
+        losses.append(loss)
         surrogate.adam_step(arrays, dWs + dbs, m, v, t, cfg.learning_rate)
 
     after_seq = np.random.SeedSequence((cfg.seed, cycle_index, 1))
@@ -311,8 +310,7 @@ def tpo_cycle(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
         _spawn_rngs(after_seq, cfg.rollouts_per_cycle))
     mean_after = float(np.mean(rewards_after))
     report = CycleReport(cycle_index, mean_before, mean_after,
-                         loss_first if loss_first is not None else 0.0,
-                         loss_last if loss_last is not None else 0.0)
+                         losses[0], losses[-1])
     return policy, report
 
 

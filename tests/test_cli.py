@@ -68,6 +68,12 @@ class TestExitCodes:
         (tmp_path / "dataset.jsonl").write_text("{broken\n")
         assert run(tmp_path, "train-surrogate") == 1
 
+    @pytest.mark.parametrize("assignment", [
+        "datagen.truth.x=1", "tpo.goal.x=1", "output_dir.x=1"])
+    def test_usage_error_key_below_a_leaf(self, tmp_path, assignment):
+        assert main(["--out", str(tmp_path), *FAST, "--set", assignment,
+                     "datagen"]) == 2
+
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
 
@@ -104,6 +110,20 @@ class TestExitCodes:
         "tpo.goal=[1.2,0.8,0.0]",
         "tpo.goal=[1.2,NaN]",
         "tpo.exploration_std=-0.1",
+        "tpo.learning_rate=0",  # TpoConfig: the loss would rise
+        "tpo.learning_rate=-1",
+        "tpo.epochs_per_cycle=0",  # TpoConfig: no loss to report
+        "tpo.epochs_per_cycle=-1",
+        "surrogate.plateau_window=0",  # TrainConfig: mean of an empty slice
+        "refine.convergence_window=0",  # RefineConfig: stops after one step
+        "holdout_fraction=1.5",
+        "holdout_fraction=1",
+        "holdout_fraction=-0.25",
+        "datagen.truth=[1.0,2.0]",
+        'datagen.truth={"x":1}',
+        "datagen.truth=[1,NaN,3]",
+        "datagen.truth=[1.0,-2.0,3.0]",
+        'datagen.truth=[1.0,"2",3.0]',
     ])
     def test_usage_error_value_a_stage_rejects(self, tmp_path, assignment):
         # every stage's config is built at load, whatever the command
@@ -304,6 +324,19 @@ class TestConfigPlumbing:
                      "--set", "datagen.horizon=4", "datagen"]) == 0
         lines = (out / "dataset.jsonl").read_text().splitlines()
         assert len(lines) == 2 * 2 * 4
+
+    def test_set_section_merges_like_config_file(self, tmp_path):
+        def config_hash(*args):
+            args = cli.build_parser().parse_args([*args, "datagen"])
+            return serialize.config_hash(cli.load_config(args))
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tpo": {"beta": 0.2}}))
+        want = config_hash("--set", "tpo.beta=0.2")
+        assert config_hash("--set", 'tpo={"beta":0.2}') == want
+        assert config_hash("--config", str(cfg)) == want
+        assert want != config_hash()
+        assert run(tmp_path, "--set", 'tpo={"beta":0.2}', "datagen") == 0
 
     def test_unknown_file_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

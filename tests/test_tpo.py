@@ -7,11 +7,12 @@ import copy
 import numpy as np
 import pytest
 
-from armcal import plant, surrogate
+from armcal import plant, surrogate, tpo
 from armcal.plant import (Action, JointState, PhysParams, PlantConfig,
                           Trajectory, fk)
 from armcal.tpo import (CycleReport, PolicyNet, PreferencePair,
-                        RankedTrajectory, TpoConfig, _rollout_batch, init_policy,
+                        RankedTrajectory, TpoConfig, _pair_order,
+                        _rollout_arrays, _spawn_rngs, init_policy,
                         policy_means, rank_and_pair, rollout_policy,
                         run_tpo, tpo_cycle, tpo_delta, tpo_loss,
                         traj_log_prob)
@@ -178,6 +179,14 @@ class TestRanking:
         with pytest.raises(ValueError):
             rank_and_pair([self.fake(0.0)] * 3, m=2)
 
+    def test_pair_order_interleaves_chosen_and_rejected(self):
+        # descending: indices 1, 3, 2, 4, 0, 5; pairs (1, 0) and (3, 5)
+        rewards = np.array([-5.0, -1.0, -3.0, -2.0, -4.0, -6.0])
+        assert _pair_order(rewards, 2).tolist() == [1, 0, 3, 5]
+        assert _pair_order(rewards, 3).tolist() == [1, 4, 3, 0, 2, 5]
+        with pytest.raises(ValueError):
+            _pair_order(rewards, 4)
+
 
 class TestPolicyGradients:
     def test_matches_central_fd_over_100_instances(self):
@@ -264,6 +273,10 @@ class TestCycles:
             TpoConfig(beta=0.0)
         with pytest.raises(ValueError):
             TpoConfig(m=10, rollouts_per_cycle=19)
+        for bad in ({"epochs_per_cycle": 0}, {"learning_rate": 0.0},
+                    {"learning_rate": -1.0}, {"learning_rate": float("nan")}):
+            with pytest.raises(ValueError):
+                TpoConfig(**bad)
 
 
 def _loop_loss(policy, reference, pairs, beta):
@@ -290,20 +303,22 @@ class TestBatchedPaths:
     def test_lockstep_rollouts_match_single_rollouts(self):
         pol = init_policy(2, seed=30)
         children = np.random.SeedSequence(31).spawn(20)
-        batch = _rollout_batch(pol, PARAMS, GOAL, CFG, 25,
-                               [np.random.default_rng(c) for c in children])
-        for rt, child in zip(batch, children):
+        qs, qds, executed, rewards = _rollout_arrays(
+            pol, PARAMS, GOAL, CFG, 25, [np.random.default_rng(c) for c in children])
+        assert qs.shape == qds.shape == (26, 20, 2)
+        assert executed.shape == (25, 20, 2) and rewards.shape == (20,)
+        for b, child in enumerate(children):
             one = rollout_policy(pol, PARAMS, GOAL, CFG, 25,
                                  np.random.default_rng(child))
-            np.testing.assert_allclose(rt.executed_actions, one.executed_actions,
+            np.testing.assert_allclose(executed[:, b], one.executed_actions,
                                        rtol=0, atol=1e-12)
-            for s, s1 in zip(rt.trajectory.states, one.trajectory.states):
-                np.testing.assert_allclose(s.q, s1.q, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(s.qd, s1.qd, rtol=0, atol=1e-12)
-            assert abs(rt.reward - one.reward) <= 1e-12
-            assert len(rt.trajectory.poses) == 26
-            np.testing.assert_allclose(rt.trajectory.poses[-1].x[:2],
-                                       fk(rt.trajectory.states[-1].q, CFG).x[:2],
+            for t, s1 in enumerate(one.trajectory.states):
+                np.testing.assert_allclose(qs[t, b], s1.q, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(qds[t, b], s1.qd, rtol=0, atol=1e-12)
+            assert abs(rewards[b] - one.reward) <= 1e-12
+            assert len(one.trajectory.poses) == 26
+            np.testing.assert_allclose(one.trajectory.poses[-1].x[:2],
+                                       fk(one.trajectory.states[-1].q, CFG).x[:2],
                                        rtol=0, atol=1e-15)
 
     def test_nan_weight_raises_in_batched_rollout(self):
@@ -311,7 +326,7 @@ class TestBatchedPaths:
         pol.weights[1][0, 0] = np.nan
         rngs = [np.random.default_rng(s) for s in range(6)]
         with pytest.raises(ValueError):
-            _rollout_batch(pol, PARAMS, GOAL, CFG, 4, rngs)
+            _rollout_arrays(pol, PARAMS, GOAL, CFG, 4, rngs)
 
     def test_loss_and_gradients_match_sum_of_deltas(self):
         pol = init_policy(2, hidden=(8, 8), seed=33)
@@ -325,11 +340,85 @@ class TestBatchedPaths:
             np.testing.assert_allclose(got, exp, rtol=1e-10, atol=1e-15)
 
 
+def _objects_from_arrays(qs, qds, executed, rewards):
+    """RankedTrajectory objects holding the rollouts of lockstep arrays."""
+    out = []
+    for b in range(len(rewards)):
+        traj = Trajectory(
+            tuple(JointState(q, qd) for q, qd in zip(qs[:, b], qds[:, b])),
+            tuple(Action(a) for a in executed[:, b]),
+            tuple(plant.fk_poses(qs[:, b], CFG)))
+        out.append(RankedTrajectory(traj, executed[:, b].copy(), GOAL,
+                                    float(rewards[b])))
+    return out
+
+
+class TestArrayCycle:
+    CFG = TpoConfig(m=3, rollouts_per_cycle=10, epochs_per_cycle=2, cycles=1,
+                    rollout_horizon=5, seed=4)
+
+    def rows_built_by(self, monkeypatch, fn, *args):
+        """The _PairRows that fn(*args) stacks."""
+        built = []
+        pair_rows = tpo._pair_rows
+
+        def recording(*a):
+            built.append(pair_rows(*a))
+            return built[-1]
+
+        monkeypatch.setattr(tpo, "_pair_rows", recording)
+        fn(*args)
+        monkeypatch.setattr(tpo, "_pair_rows", pair_rows)
+        assert len(built) == 1
+        return built[0]
+
+    def cycle_and_reference(self, monkeypatch):
+        pol = init_policy(2, hidden=(8, 8), seed=36)
+        ref = copy.deepcopy(pol)
+        got = self.rows_built_by(monkeypatch, tpo_cycle, pol, PARAMS, GOAL,
+                                 self.CFG, CFG)
+        return got, ref
+
+    def rngs(self):
+        # the generators tpo_cycle spawns for its ranked batch of cycle 0
+        return _spawn_rngs(np.random.SeedSequence((self.CFG.seed, 0)),
+                           self.CFG.rollouts_per_cycle)
+
+    def test_cycle_rows_equal_object_api_rows(self, monkeypatch):
+        got, ref = self.cycle_and_reference(monkeypatch)
+        arrays = _rollout_arrays(ref, PARAMS, GOAL, CFG,
+                                 self.CFG.rollout_horizon, self.rngs())
+        pairs = rank_and_pair(_objects_from_arrays(*arrays), self.CFG.m)
+        want = self.rows_built_by(monkeypatch, tpo_loss, ref, ref, pairs, 0.1)
+        for name in ("obs", "executed", "traj", "ref_log_prob"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        # the comparison sees which trajectory of a pair is the chosen one
+        m, T = self.CFG.m, self.CFG.rollout_horizon
+        flipped = want.obs.reshape(m, 2, T, -1)[:, ::-1].reshape(want.obs.shape)
+        assert not np.array_equal(got.obs, flipped)
+        assert not np.array_equal(got.ref_log_prob,
+                                  want.ref_log_prob.reshape(m, 2)[:, ::-1].ravel())
+
+    def test_cycle_rows_match_rollout_policy_rows(self, monkeypatch):
+        # one rollout at a time rounds differently in the policy forward, so
+        # the rows agree to round-off and the pairing exactly
+        got, ref = self.cycle_and_reference(monkeypatch)
+        trajs = [rollout_policy(ref, PARAMS, GOAL, CFG, self.CFG.rollout_horizon,
+                                rng) for rng in self.rngs()]
+        want = self.rows_built_by(monkeypatch, tpo_loss, ref, ref,
+                                  rank_and_pair(trajs, self.CFG.m), 0.1)
+        np.testing.assert_array_equal(got.traj, want.traj)
+        np.testing.assert_allclose(got.obs, want.obs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.executed, want.executed, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.ref_log_prob, want.ref_log_prob,
+                                   rtol=1e-10, atol=0)
+
+
 class TestCallCounts:
     def test_one_cycle_batches_every_call(self, monkeypatch):
         # a regression to one-rollout-at-a-time stepping, to a per-epoch
-        # reference pass or to objects for the after-update batch changes
-        # these counts
+        # reference pass or to per-step objects anywhere in the cycle changes
+        # these counts or raises
         calls = {"step_batch": 0, "fk_poses": 0, "forward_rows": []}
         step_batch, forward = plant.step_batch, surrogate.forward_normalized
         fk_poses = plant.fk_poses
@@ -353,13 +442,17 @@ class TestCallCounts:
         monkeypatch.setattr(plant, "fk", no_fk)
         monkeypatch.setattr(plant, "fk_poses", counting_fk_poses)
         monkeypatch.setattr(surrogate, "forward_normalized", counting_forward)
+        for name in ("JointState", "Action", "Trajectory", "RankedTrajectory",
+                     "PreferencePair"):
+            def no_object(*args, _name=name, **kwargs):
+                raise AssertionError(f"tpo_cycle built a {_name}")
+            monkeypatch.setattr(tpo, name, no_object)
         cfg = TpoConfig(m=3, rollouts_per_cycle=10, epochs_per_cycle=7,
                         cycles=1, rollout_horizon=4, seed=3)
         tpo_cycle(init_policy(2, hidden=(8, 8), seed=35), PARAMS, GOAL, cfg, CFG)
         assert calls["step_batch"] == 2 * cfg.rollout_horizon
-        # poses, and the other per-step objects, only for the ranked batch;
-        # the after-update batch is scored from its arrays
-        assert calls["fk_poses"] == 1
+        # both batches are ranked and scored from their arrays
+        assert calls["fk_poses"] == 0
         rows = calls["forward_rows"]
         assert rows.count(cfg.rollouts_per_cycle) == 2 * cfg.rollout_horizon
         pair_rows = 2 * cfg.m * cfg.rollout_horizon
