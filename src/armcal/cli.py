@@ -1,6 +1,7 @@
 """Command-line surface tying the pipeline stages into reproducible runs.
 
-Subcommands: datagen | train-surrogate | identify | tpo | plot.
+Subcommands: datagen | train-surrogate | identify | tpo | plot. `datagen`
+writes the observed episodes; the surrogate stages build their rows from them.
 All randomness is derived from the configured run seed; no wall-clock
 seeding. Exit codes: 0 success, 2 usage/config error, 1 runtime error.
 """
@@ -36,12 +37,12 @@ SECTION_CLASSES = {"plant": PlantConfig, "surrogate": surrogate.TrainConfig,
                    "refine": identify.RefineConfig,
                    "anneal": identify.AnnealConfig, "tpo": tpo.TpoConfig}
 _SET_BY_CLI = ("seed", "bounds")
-# The keys no config class backs, with their defaults. The surrogate
-# pipeline's and the policy's defaults are read from where they are defined.
+# The keys no config class backs, with their defaults. The surrogate's width
+# and the policy's exploration noise are read from where they are defined.
 _UNBACKED = {
-    "datagen": {"n_param_sets": identify.GradPipelineConfig.n_param_sets,
-                "n_episodes": 20, "horizon": 50, "truth": None},
-    "surrogate": {"hidden_width": identify.GradPipelineConfig.hidden_width},
+    "datagen": {"n_param_sets": 50, "n_episodes": 20, "horizon": 50,
+                "truth": None},
+    "surrogate": {"hidden_width": surrogate.HIDDEN_WIDTH},
     "tpo": {"exploration_std": tpo.PolicyNet.exploration_std,
             "goal": [1.2, 0.8]},
     "holdout_fraction": 0.25,
@@ -64,19 +65,24 @@ def default_config():
     return config
 
 
+def _finite_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _check_type(key, default, value):
     """An override keeps the type of its default: an int key takes no float
-    or bool, a float key also takes an int, a None default takes anything."""
+    or bool, a float key takes a finite float or an int, a None default
+    takes anything."""
     if default is None:
         return
     if isinstance(default, float):
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok, kind = _finite_number(value), "finite number"
     else:
         ok = (isinstance(value, type(default))
               and isinstance(value, bool) == isinstance(default, bool))
+        kind = type(default).__name__
     if not ok:
-        raise UsageError(f"config key {key} expects a "
-                         f"{type(default).__name__}, got {value!r}")
+        raise UsageError(f"config key {key} expects a {kind}, got {value!r}")
 
 
 def _merge(base, override, prefix=""):
@@ -132,10 +138,6 @@ def load_config(args):
     return config
 
 
-def _finite_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _check_unbacked(config):
     """Range checks of the keys no config class holds."""
     for key in ("n_param_sets", "n_episodes", "horizon"):
@@ -154,9 +156,9 @@ def _check_unbacked(config):
     if not 0 <= config["holdout_fraction"] < 1:
         raise UsageError(f"holdout_fraction must be in [0, 1), "
                          f"got {config['holdout_fraction']!r}")
-    std = config["tpo"]["exploration_std"]
-    if not (math.isfinite(std) and std >= 0):
-        raise UsageError(f"tpo.exploration_std must be finite and >= 0, got {std!r}")
+    if config["tpo"]["exploration_std"] < 0:  # finite, as every float key
+        raise UsageError("tpo.exploration_std must be >= 0, "
+                         f"got {config['tpo']['exploration_std']!r}")
 
 
 def build_stages(config):
@@ -222,48 +224,70 @@ def _truth_params(config, seeds, bounds):
     return PhysParams.from_array(draw)
 
 
+def _load_episodes(path):
+    if not path.exists():
+        raise UsageError(f"episodes file not found: {path}")
+    return serialize.episodes_from_json(serialize.load_json(path))
+
+
+def _param_sets(config, stages):
+    """The sampled parameter sets the surrogate's training rows are built
+    over, and the candidates its refinement starts from."""
+    return datagen.sample_params(config["datagen"]["n_param_sets"],
+                                 stages["bounds"], stages["seeds"]["param_sets"])
+
+
+def _train_surrogate(config, stages, data):
+    """A fresh surrogate fitted to the (M, 3 + 5N) transition rows `data`."""
+    model = surrogate.init(
+        surrogate.default_layer_dims(stages["plant"].n_joints,
+                                     config["surrogate"]["hidden_width"]),
+        stages["seeds"]["surrogate_init"],
+        norm_stats=datagen.compute_norm_stats(data), bounds=stages["bounds"])
+    return surrogate.train(model, data, stages["surrogate"])
+
+
 def cmd_datagen(config, stages):
     out = _outdir(config)
-    plant_cfg, bounds, seeds = stages["plant"], stages["bounds"], stages["seeds"]
-    dg = config["datagen"]
-    truth = _truth_params(config, seeds, bounds)
+    seeds, dg = stages["seeds"], config["datagen"]
+    truth = _truth_params(config, seeds, stages["bounds"])
     episodes = datagen.make_synthetic_real(truth, dg["n_episodes"], dg["horizon"],
-                                           plant_cfg, seeds["episodes"])
-    param_sets = datagen.sample_params(dg["n_param_sets"], bounds, seeds["param_sets"])
-    rows = datagen.generate_transition_arrays(episodes, param_sets, plant_cfg)
-    stats = datagen.compute_norm_stats(rows)
-
-    serialize.write_dataset(out / "dataset.jsonl", rows, plant_cfg.n_joints)
+                                           stages["plant"], seeds["episodes"])
     serialize.dump_json(serialize.episodes_to_json(episodes), out / "episodes.json")
     serialize.dump_json(serialize.params_to_json(truth), out / "truth.json")
-    serialize.dump_json(serialize.norm_stats_to_json(stats), out / "norm_stats.json")
-    _write_manifest(out, config, {
-        "dataset": out / "dataset.jsonl", "episodes": out / "episodes.json",
-        "truth": out / "truth.json", "norm_stats": out / "norm_stats.json"})
-    print(f"wrote {len(rows)} transition records to {out / 'dataset.jsonl'}")
+    _write_manifest(out, config, {"episodes": out / "episodes.json",
+                                  "truth": out / "truth.json"})
+    print(f"wrote {len(episodes.episodes)} episodes to {out / 'episodes.json'}")
     return 0
 
 
 def cmd_train_surrogate(config, stages, dataset_path):
+    """Train on an outside dataset, or on rows built from every episode."""
     out = _outdir(config)
-    path = Path(dataset_path if dataset_path else out / "dataset.jsonl")
-    if not path.exists():
-        raise UsageError(f"dataset not found: {path}")
-    plant_cfg, seeds = stages["plant"], stages["seeds"]
-    data = serialize.read_dataset(path)
-    if data.shape[1] != 3 + 5 * plant_cfg.n_joints:
-        raise UsageError("dataset layout does not match configured n_joints")
-    stats = datagen.compute_norm_stats(data)
-    model = surrogate.init(
-        surrogate.default_layer_dims(plant_cfg.n_joints,
-                                     config["surrogate"]["hidden_width"]),
-        seeds["surrogate_init"], norm_stats=stats, bounds=stages["bounds"])
-    model = surrogate.train(model, data, stages["surrogate"])
+    plant_cfg = stages["plant"]
+    artifacts = {}
+    if dataset_path:
+        path = Path(dataset_path)
+        if not path.exists():
+            raise UsageError(f"dataset not found: {path}")
+        data = serialize.read_dataset(path)
+        if data.shape[1] != 3 + 5 * plant_cfg.n_joints:
+            raise UsageError("dataset layout does not match configured n_joints")
+    else:
+        episodes = _load_episodes(out / "episodes.json")
+        data = datagen.generate_transition_arrays(
+            episodes, _param_sets(config, stages), plant_cfg)
+        artifacts["dataset"] = out / "dataset.jsonl"
+        serialize.write_dataset(artifacts["dataset"], data, plant_cfg.n_joints)
+    model = _train_surrogate(config, stages, data)
+    serialize.dump_json(serialize.norm_stats_to_json(model.norm_stats),
+                        out / "norm_stats.json")
     serialize.dump_json(serialize.checkpoint_to_json(model), out / "checkpoint.json")
-    history = model.training_meta.get("loss_history", [])
+    history = model.training_meta["loss_history"]
     serialize.write_text(out / "train_loss.csv", "step,value\n" + "".join(
         f"{i},{serialize.f17(v)}\n" for i, v in enumerate(history)))
-    _write_manifest(out, config, {"checkpoint": out / "checkpoint.json",
+    _write_manifest(out, config, {**artifacts, "norm_stats": out / "norm_stats.json",
+                                  "checkpoint": out / "checkpoint.json",
                                   "loss_curve": out / "train_loss.csv"})
     print(f"final training loss: {model.training_meta['final_loss']:.3e} "
           f"({model.training_meta['epochs_run']} epochs, "
@@ -296,10 +320,8 @@ def cmd_identify(config, stages, episodes_path, checkpoint_path, method):
         raise UsageError("--checkpoint applies only to --method surrogate")
     out = _outdir(config)
     path = Path(episodes_path if episodes_path else out / "episodes.json")
-    if not path.exists():
-        raise UsageError(f"episodes file not found: {path}")
-    plant_cfg, bounds, seeds = stages["plant"], stages["bounds"], stages["seeds"]
-    episodes = serialize.episodes_from_json(serialize.load_json(path))
+    episodes = _load_episodes(path)
+    plant_cfg = stages["plant"]
     train_eps, eval_eps = _split_holdout(episodes, config["holdout_fraction"])
     truth_path = path.parent / "truth.json"
     truth = (serialize.params_from_json(serialize.load_json(truth_path))
@@ -313,27 +335,20 @@ def cmd_identify(config, stages, episodes_path, checkpoint_path, method):
                                eval_eps, plant_cfg, truth))
     if method in ("grad", "both"):
         t0 = time.perf_counter()
-        grad_params, _ = identify.gauss_newton_params(train_eps, bounds,
+        grad_params, _ = identify.gauss_newton_params(train_eps, stages["bounds"],
                                                       plant_cfg)
         reports.append(_report("grad", grad_params, time.perf_counter() - t0,
                                eval_eps, plant_cfg, truth))
     if method == "surrogate":
         t0 = time.perf_counter()
+        candidates = _param_sets(config, stages)
         if checkpoint_path:
             model = serialize.checkpoint_from_json(serialize.load_json(checkpoint_path))
-            candidates = datagen.sample_params(config["datagen"]["n_param_sets"],
-                                               bounds, seeds["param_sets"])
-            sur_params, _ = identify.refine_params(model, train_eps,
-                                                   stages["refine"], candidates)
         else:
-            sur_cfg = identify.GradPipelineConfig(
-                n_param_sets=config["datagen"]["n_param_sets"],
-                sample_seed=seeds["param_sets"],
-                train=stages["surrogate"], refine=stages["refine"],
-                hidden_width=config["surrogate"]["hidden_width"],
-                init_seed=seeds["surrogate_init"])
-            sur_params, _ = identify.run_gradient_pipeline(train_eps, plant_cfg,
-                                                           sur_cfg)
+            model = _train_surrogate(config, stages, datagen.generate_transition_arrays(
+                train_eps, candidates, plant_cfg))
+        sur_params, _ = identify.refine_params(model, train_eps, stages["refine"],
+                                               candidates)
         reports.append(_report("surrogate", sur_params, time.perf_counter() - t0,
                                eval_eps, plant_cfg, truth))
 
@@ -420,14 +435,15 @@ def build_parser():
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config entry (dotted keys)")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("datagen", help="generate episodes and transition dataset")
-    p_train = sub.add_parser("train-surrogate", help="train the dynamics surrogate")
-    p_train.add_argument("--dataset", help="dataset JSONL path")
+    sub.add_parser("datagen", help="generate observed episodes from a hidden truth")
+    p_train = sub.add_parser("train-surrogate", help="build the transition "
+                             "dataset from the episodes, train the surrogate")
+    p_train.add_argument("--dataset", help="train on this dataset JSONL instead")
     p_id = sub.add_parser("identify", help="identify physical parameters")
     p_id.add_argument("--episodes", help="episodes JSON path")
     p_id.add_argument("--checkpoint",
-                      help="surrogate checkpoint (skip training); "
-                           "--method surrogate only")
+                      help="surrogate checkpoint (skip building rows and "
+                           "training); --method surrogate only")
     p_id.add_argument("--method", default="both",
                       help=" | ".join(IDENTIFY_METHODS)
                       + " (both: sa then grad)")

@@ -1,8 +1,10 @@
-"""Transition-dataset construction for surrogate training.
+"""Episodes and the surrogate's transition rows.
 
-Stage 1 of the pipeline: replay recorded episode actions through the plant
-under many sampled parameter triples, restarting each simulated step from the
-recorded state (one-step teacher forcing), and collect
+`armcal datagen` rolls the hidden truth into the observed episodes
+(`make_synthetic_real`). The surrogate stages build their training rows from
+those episodes: replay the recorded actions through the plant under many
+sampled parameter triples, restarting each simulated step from the recorded
+state (one-step teacher forcing), and collect
 (params, state, action, next_state) records plus normalization statistics.
 """
 

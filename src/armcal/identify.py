@@ -342,28 +342,3 @@ def recovery_error(params: PhysParams, truth: PhysParams):
     denom = np.where(np.abs(t) > 0, np.abs(t), 1.0)
     return tuple(np.abs(params.as_array() - t) / denom)
 
-
-@dataclass(frozen=True)
-class GradPipelineConfig:
-    n_param_sets: int = 50
-    sample_seed: int = 1
-    train: surrogate.TrainConfig = field(default_factory=surrogate.TrainConfig)
-    refine: RefineConfig = field(default_factory=RefineConfig)
-    hidden_width: int = surrogate.HIDDEN_WIDTH
-    init_seed: int = 2
-
-
-def run_gradient_pipeline(episodes, plant_cfg, cfg: GradPipelineConfig):
-    """Full surrogate route: sample parameter sets, generate the transition
-    dataset, train the surrogate, refine. Returns (params, details dict)."""
-    bounds = cfg.refine.bounds
-    candidates = datagen.sample_params(cfg.n_param_sets, bounds, cfg.sample_seed)
-    data = datagen.generate_transition_arrays(episodes, candidates, plant_cfg)
-    stats = datagen.compute_norm_stats(data)
-    model = surrogate.init(
-        surrogate.default_layer_dims(plant_cfg.n_joints, cfg.hidden_width),
-        cfg.init_seed, norm_stats=stats, bounds=bounds)
-    model = surrogate.train(model, data, cfg.train)
-    params, curve = refine_params(model, episodes, cfg.refine, candidates)
-    return params, {"model": model, "loss_curve": curve,
-                    "candidates": candidates, "dataset_rows": len(data)}

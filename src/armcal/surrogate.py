@@ -44,7 +44,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.batch_size < 1 or self.max_epochs < 0:
+        if self.learning_rate < 0 or self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("invalid training configuration")
         if self.plateau_window < 1:
             raise ValueError("plateau_window must be >= 1")
@@ -253,8 +253,8 @@ def train(model: MlpCheckpoint, data, cfg: TrainConfig) -> MlpCheckpoint:
                 break
     model.training_meta = {
         "epochs_run": len(history),
-        "final_loss": history[-1] if history else None,
-        "stop_reason": stop_reason if history else "no_epochs",
+        "final_loss": history[-1],
+        "stop_reason": stop_reason,
         "loss_history": history,
     }
     return model

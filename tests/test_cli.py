@@ -47,7 +47,7 @@ class TestExitCodes:
         assert main(["--config", str(bad), "datagen"]) == 2
 
     def test_usage_error_missing_inputs(self, tmp_path):
-        assert run(tmp_path, "train-surrogate") == 2  # no dataset yet
+        assert run(tmp_path, "train-surrogate") == 2  # no episodes yet
         assert run(tmp_path, "identify") == 2  # no episodes yet
         assert run(tmp_path, "tpo") == 2  # no identified params yet
         assert run(tmp_path, "plot", str(tmp_path / "none.csv")) == 2
@@ -64,9 +64,9 @@ class TestExitCodes:
     def test_runtime_error_is_exit_1(self, tmp_path):
         # structurally valid config that fails at runtime: a dataset file
         # with malformed content
-        assert run(tmp_path, "datagen") == 0
-        (tmp_path / "dataset.jsonl").write_text("{broken\n")
-        assert run(tmp_path, "train-surrogate") == 1
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("{broken\n")
+        assert run(tmp_path, "train-surrogate", "--dataset", str(broken)) == 1
 
     @pytest.mark.parametrize("assignment", [
         "datagen.truth.x=1", "tpo.goal.x=1", "output_dir.x=1"])
@@ -124,29 +124,40 @@ class TestExitCodes:
         "datagen.truth=[1,NaN,3]",
         "datagen.truth=[1.0,-2.0,3.0]",
         'datagen.truth=[1.0,"2",3.0]',
+        # a float key takes no NaN or infinity
+        "tpo.beta=NaN",
+        "refine.convergence_tol=NaN",
+        "anneal.initial_temperature=Infinity",
+        "plant.dt=NaN",
+        "surrogate.max_epochs=0",  # TrainConfig: no loss to report
     ])
     def test_usage_error_value_a_stage_rejects(self, tmp_path, assignment):
         # every stage's config is built at load, whatever the command
         assert main(["--out", str(tmp_path), *FAST, "--set", assignment,
                      "datagen"]) == 2
-        assert not (tmp_path / "dataset.jsonl").exists()
+        assert not (tmp_path / "episodes.json").exists()
 
 
 class TestDatagen:
     def test_artifacts_and_row_count(self, tmp_path):
         assert run(tmp_path, "datagen") == 0
-        for name in ("dataset.jsonl", "episodes.json", "truth.json",
-                     "norm_stats.json", "manifest.json"):
-            assert (tmp_path / name).exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "episodes.json", "manifest.json", "truth.json"]
+        # the surrogate's training rows are built by train-surrogate
+        assert run(tmp_path, "train-surrogate") == 0
+        assert (tmp_path / "norm_stats.json").exists()
         lines = (tmp_path / "dataset.jsonl").read_text().splitlines()
         assert len(lines) == 3 * 4 * 6  # param sets x episodes x horizon
         first = json.loads(lines[0])
         assert tuple(first.keys()) == serialize.DATASET_KEYS
 
     def test_default_scale_row_count(self, tmp_path):
-        # spec-scale datagen: 50 x 20 x 50 = 50,000 records; only the row
-        # count matters here so trim nothing else
-        assert main(["--out", str(tmp_path), "--seed", "0", "datagen"]) == 0
+        # spec-scale rows: 50 x 20 x 50 = 50,000 records; only the row
+        # count matters here, so trim nothing but the training
+        base = ["--out", str(tmp_path), "--seed", "0"]
+        assert main([*base, "datagen"]) == 0
+        assert main([*base, "--set", "surrogate.max_epochs=1",
+                     "train-surrogate"]) == 0
         n = sum(1 for _ in open(tmp_path / "dataset.jsonl"))
         assert n == 50 * 20 * 50
 
@@ -168,7 +179,28 @@ class TestDatagen:
         assert run(tmp_path, "datagen") == 0
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert len(man["config_hash"]) == 64
-        assert "dataset" in man["artifacts"]
+        assert set(man["artifacts"]) == {"episodes", "truth"}
+        assert run(tmp_path, "train-surrogate") == 0
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert {"dataset", "norm_stats", "checkpoint"} <= set(man["artifacts"])
+
+
+class TestTrainSurrogate:
+    def test_outside_dataset(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(a, "datagen") == 0
+        assert run(a, "train-surrogate") == 0
+        # an outside file trains without episodes, and writes no dataset
+        assert run(b, "train-surrogate", "--dataset", str(a / "dataset.jsonl")) == 0
+        assert not (b / "dataset.jsonl").exists()
+        for name in ("checkpoint.json", "norm_stats.json", "train_loss.csv"):
+            assert (b / name).read_bytes() == (a / name).read_bytes()
+        # a one-joint layout against the configured two joints
+        one_joint = tmp_path / "one_joint.jsonl"
+        serialize.write_dataset(one_joint, np.ones((4, 3 + 5)), 1)
+        assert run(b, "train-surrogate", "--dataset", str(one_joint)) == 2
+        assert run(b, "train-surrogate", "--dataset",
+                   str(tmp_path / "none.jsonl")) == 2
 
 
 class TestPipeline:
@@ -268,16 +300,18 @@ class TestDeterminism:
 
     def test_different_seed_changes_data(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert run(a, "datagen", seed=1) == 0
-        assert run(b, "datagen", seed=2) == 0
+        for out, seed in ((a, 1), (b, 2)):
+            assert run(out, "datagen", seed=seed) == 0
+            assert run(out, "train-surrogate", seed=seed) == 0
         assert (a / "dataset.jsonl").read_text() != \
             (b / "dataset.jsonl").read_text()
 
     def test_seed_zero_and_unset_agree(self, tmp_path):
         # the default run seed is 0; --seed 0 must reproduce it
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["--out", str(a), *FAST, "datagen"]) == 0
-        assert run(b, "datagen", seed=0) == 0
+        for command in ("datagen", "train-surrogate"):
+            assert main(["--out", str(a), *FAST, command]) == 0
+            assert run(b, command, seed=0) == 0
         assert (a / "dataset.jsonl").read_text() == \
             (b / "dataset.jsonl").read_text()
 
@@ -309,9 +343,11 @@ class TestConfigPlumbing:
         cfg.write_text(json.dumps({"datagen": {"n_param_sets": 2,
                                                "n_episodes": 2,
                                                "horizon": 3}}))
-        out = tmp_path / "out"
-        assert main(["--config", str(cfg), "--out", str(out), "datagen"]) == 0
-        lines = (out / "dataset.jsonl").read_text().splitlines()
+        base = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main([*base, "datagen"]) == 0
+        assert main([*base, "--set", "surrogate.max_epochs=1",
+                     "train-surrogate"]) == 0
+        lines = (tmp_path / "out" / "dataset.jsonl").read_text().splitlines()
         assert len(lines) == 2 * 2 * 3
 
     def test_set_overrides_config_file(self, tmp_path):
@@ -319,10 +355,12 @@ class TestConfigPlumbing:
         cfg.write_text(json.dumps({"datagen": {"n_param_sets": 2,
                                                "n_episodes": 2,
                                                "horizon": 3}}))
-        out = tmp_path / "out"
-        assert main(["--config", str(cfg), "--out", str(out),
-                     "--set", "datagen.horizon=4", "datagen"]) == 0
-        lines = (out / "dataset.jsonl").read_text().splitlines()
+        base = ["--config", str(cfg), "--out", str(tmp_path / "out"),
+                "--set", "datagen.horizon=4"]
+        assert main([*base, "datagen"]) == 0
+        assert main([*base, "--set", "surrogate.max_epochs=1",
+                     "train-surrogate"]) == 0
+        lines = (tmp_path / "out" / "dataset.jsonl").read_text().splitlines()
         assert len(lines) == 2 * 2 * 4
 
     def test_set_section_merges_like_config_file(self, tmp_path):

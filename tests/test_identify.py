@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from armcal import cli, datagen, identify, metrics, surrogate
-from armcal.identify import (AnnealConfig, GradPipelineConfig, RefineConfig,
-                             anneal_params, evaluate_params,
-                             gauss_newton_params, make_one_step_residuals,
-                             make_replay_energy, minimize_projected_adam,
-                             planar_pose_errors, recovery_error, refine_params,
-                             run_gradient_pipeline)
+from armcal.identify import (AnnealConfig, RefineConfig, anneal_params,
+                             evaluate_params, gauss_newton_params,
+                             make_one_step_residuals, make_replay_energy,
+                             minimize_projected_adam, planar_pose_errors,
+                             recovery_error, refine_params)
 from armcal.plant import ParamBounds, PhysParams, PlantConfig, fk, rollout_batch
 
 BOUNDS = ParamBounds()
@@ -367,26 +366,31 @@ class TestEvaluate:
 
 class TestGradientPipeline:
     def test_small_scale_end_to_end(self):
+        # the surrogate route piece by piece: sample, build rows, train, refine
         truth = PhysParams(8.0, 80.0, 3.0)
         eps = datagen.make_synthetic_real(truth, 4, 30, CFG, seed=3)
-        cfg = GradPipelineConfig(
-            n_param_sets=10,
-            train=surrogate.TrainConfig(max_epochs=40, seed=0),
-            refine=RefineConfig(max_steps=200, bounds=BOUNDS),
-            hidden_width=32)
-        params, details = run_gradient_pipeline(eps, CFG, cfg)
+        candidates = datagen.sample_params(10, BOUNDS, 1)
+        data = datagen.generate_transition_arrays(eps, candidates, CFG)
+        assert data.shape == (10 * 4 * 30, 3 + 5 * CFG.n_joints)
+        model = surrogate.init(surrogate.default_layer_dims(CFG.n_joints, 32), 2,
+                               norm_stats=datagen.compute_norm_stats(data),
+                               bounds=BOUNDS)
+        model = surrogate.train(model, data,
+                                surrogate.TrainConfig(max_epochs=40, seed=0))
+        history = model.training_meta["loss_history"]
+        assert history[-1] < history[0]
+        params, curve = refine_params(model, eps,
+                                      RefineConfig(max_steps=200, bounds=BOUNDS),
+                                      candidates)
         assert params.within(BOUNDS)
-        assert details["dataset_rows"] == 10 * 4 * 30
-        assert details["loss_curve"][-1] <= details["loss_curve"][0]
+        assert curve[-1] <= curve[0]
         # refinement (best-iterate) can never end up worse than its
         # best-sampled starting candidate under the surrogate objective
-        model = details["model"]
         q, qd, acts, nq, nqd = datagen.episode_arrays(eps)
         state_sa = np.hstack([q, qd, acts])
         next_raw = np.hstack([nq, nqd])
         refined_loss = surrogate.param_loss_and_grad(
             model, params.as_array(), state_sa, next_raw)[0]
         cand_losses = [surrogate.param_loss_and_grad(
-            model, c.as_array(), state_sa, next_raw)[0]
-            for c in details["candidates"]]
+            model, c.as_array(), state_sa, next_raw)[0] for c in candidates]
         assert refined_loss <= min(cand_losses) + 1e-12

@@ -282,6 +282,8 @@ class TestTraining:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1.0)
+        with pytest.raises(ValueError):
+            TrainConfig(max_epochs=0)  # no loss to report
 
 
 class TestAdamStep:
