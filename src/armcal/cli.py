@@ -1,7 +1,9 @@
 """Command-line surface tying the pipeline stages into reproducible runs.
 
 Subcommands: datagen | train-surrogate | identify | tpo | plot. `datagen`
-writes the observed episodes; the surrogate stages build their rows from them.
+writes the observed episodes; `train-surrogate` builds the surrogate's rows
+from their training split and trains it; `identify --method surrogate` only
+refines through that checkpoint.
 All randomness is derived from the configured run seed; no wall-clock
 seeding. Exit codes: 0 success, 2 usage/config error, 1 runtime error.
 """
@@ -121,9 +123,7 @@ def _apply_set(config, assignment):
 def load_config(args):
     config = default_config()
     if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
+        path = _input_file(args.config, "config file")
         try:
             user = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
@@ -224,10 +224,17 @@ def _truth_params(config, seeds, bounds):
     return PhysParams.from_array(draw)
 
 
-def _load_episodes(path):
+def _input_file(path, what):
+    """`path` as a Path; a missing input file is a usage error."""
+    path = Path(path)
     if not path.exists():
-        raise UsageError(f"episodes file not found: {path}")
-    return serialize.episodes_from_json(serialize.load_json(path))
+        raise UsageError(f"{what} not found: {path}")
+    return path
+
+
+def _load_episodes(path):
+    return serialize.episodes_from_json(
+        serialize.load_json(_input_file(path, "episodes file")))
 
 
 def _param_sets(config, stages):
@@ -235,16 +242,6 @@ def _param_sets(config, stages):
     over, and the candidates its refinement starts from."""
     return datagen.sample_params(config["datagen"]["n_param_sets"],
                                  stages["bounds"], stages["seeds"]["param_sets"])
-
-
-def _train_surrogate(config, stages, data):
-    """A fresh surrogate fitted to the (M, 3 + 5N) transition rows `data`."""
-    model = surrogate.init(
-        surrogate.default_layer_dims(stages["plant"].n_joints,
-                                     config["surrogate"]["hidden_width"]),
-        stages["seeds"]["surrogate_init"],
-        norm_stats=datagen.compute_norm_stats(data), bounds=stages["bounds"])
-    return surrogate.train(model, data, stages["surrogate"])
 
 
 def cmd_datagen(config, stages):
@@ -262,24 +259,28 @@ def cmd_datagen(config, stages):
 
 
 def cmd_train_surrogate(config, stages, dataset_path):
-    """Train on an outside dataset, or on rows built from every episode."""
+    """Train on an outside dataset, or on rows built from the training split
+    of the episodes, the split `identify` refines on."""
     out = _outdir(config)
     plant_cfg = stages["plant"]
     artifacts = {}
     if dataset_path:
-        path = Path(dataset_path)
-        if not path.exists():
-            raise UsageError(f"dataset not found: {path}")
-        data = serialize.read_dataset(path)
+        data = serialize.read_dataset(_input_file(dataset_path, "dataset"))
         if data.shape[1] != 3 + 5 * plant_cfg.n_joints:
             raise UsageError("dataset layout does not match configured n_joints")
     else:
-        episodes = _load_episodes(out / "episodes.json")
+        train_eps, _ = _split_holdout(_load_episodes(out / "episodes.json"),
+                                      config["holdout_fraction"])
         data = datagen.generate_transition_arrays(
-            episodes, _param_sets(config, stages), plant_cfg)
+            train_eps, _param_sets(config, stages), plant_cfg)
         artifacts["dataset"] = out / "dataset.jsonl"
         serialize.write_dataset(artifacts["dataset"], data, plant_cfg.n_joints)
-    model = _train_surrogate(config, stages, data)
+    model = surrogate.init(
+        surrogate.default_layer_dims(plant_cfg.n_joints,
+                                     config["surrogate"]["hidden_width"]),
+        stages["seeds"]["surrogate_init"],
+        norm_stats=datagen.compute_norm_stats(data), bounds=stages["bounds"])
+    model = surrogate.train(model, data, stages["surrogate"])
     serialize.dump_json(serialize.norm_stats_to_json(model.norm_stats),
                         out / "norm_stats.json")
     serialize.dump_json(serialize.checkpoint_to_json(model), out / "checkpoint.json")
@@ -341,14 +342,13 @@ def cmd_identify(config, stages, episodes_path, checkpoint_path, method):
                                eval_eps, plant_cfg, truth))
     if method == "surrogate":
         t0 = time.perf_counter()
-        candidates = _param_sets(config, stages)
-        if checkpoint_path:
-            model = serialize.checkpoint_from_json(serialize.load_json(checkpoint_path))
-        else:
-            model = _train_surrogate(config, stages, datagen.generate_transition_arrays(
-                train_eps, candidates, plant_cfg))
+        model = serialize.checkpoint_from_json(serialize.load_json(_input_file(
+            checkpoint_path or out / "checkpoint.json", "checkpoint")))
+        n = plant_cfg.n_joints
+        if model.layer_dims[0] != 3 + 3 * n or model.layer_dims[-1] != 2 * n:
+            raise UsageError("checkpoint layout does not match configured n_joints")
         sur_params, _ = identify.refine_params(model, train_eps, stages["refine"],
-                                               candidates)
+                                               _param_sets(config, stages))
         reports.append(_report("surrogate", sur_params, time.perf_counter() - t0,
                                eval_eps, plant_cfg, truth))
 
@@ -372,10 +372,8 @@ def cmd_identify(config, stages, episodes_path, checkpoint_path, method):
 
 def cmd_tpo(config, stages, params_path):
     out = _outdir(config)
-    path = Path(params_path if params_path else out / "identified_params.json")
-    if not path.exists():
-        raise UsageError(f"identified parameter file not found: {path}")
-    params = serialize.params_from_json(serialize.load_json(path))
+    params = serialize.params_from_json(serialize.load_json(_input_file(
+        params_path or out / "identified_params.json", "identified parameter file")))
     t = config["tpo"]
     plant_cfg = stages["plant"]
     policy = tpo.init_policy(plant_cfg.n_joints, seed=stages["seeds"]["tpo"],
@@ -399,9 +397,7 @@ def cmd_tpo(config, stages, params_path):
 
 def cmd_plot(config, csv_path, svg_path):
     out = _outdir(config)
-    path = Path(csv_path)
-    if not path.exists():
-        raise UsageError(f"CSV file not found: {path}")
+    path = _input_file(csv_path, "CSV file")
     lines = path.read_text().strip().splitlines()
     if not lines or lines[0].strip() != "step,value":
         raise UsageError("CSV must start with header 'step,value'")
@@ -437,13 +433,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("datagen", help="generate observed episodes from a hidden truth")
     p_train = sub.add_parser("train-surrogate", help="build the transition "
-                             "dataset from the episodes, train the surrogate")
+                             "dataset from the training split of the "
+                             "episodes, train the surrogate")
     p_train.add_argument("--dataset", help="train on this dataset JSONL instead")
     p_id = sub.add_parser("identify", help="identify physical parameters")
     p_id.add_argument("--episodes", help="episodes JSON path")
     p_id.add_argument("--checkpoint",
-                      help="surrogate checkpoint (skip building rows and "
-                           "training); --method surrogate only")
+                      help="surrogate checkpoint to refine through (default: "
+                           "<out>/checkpoint.json); --method surrogate only")
     p_id.add_argument("--method", default="both",
                       help=" | ".join(IDENTIFY_METHODS)
                       + " (both: sa then grad)")

@@ -8,7 +8,8 @@ sensitivities of the teacher-forced one-step predictions give the exact
 Jacobian of the residuals, so damped Gauss-Newton needs a few dozen batched
 kernel calls. Annealing pays for a full replay at every one of its 400 steps.
 The surrogate route ("surrogate") touches the simulator only through the
-dataset generated once for training, and pays for the training instead.
+dataset its network was trained on beforehand; identification refines through
+the frozen network and pays for none of that training.
 """
 
 from dataclasses import dataclass, field

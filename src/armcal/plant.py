@@ -93,8 +93,8 @@ class PlantConfig:
             object.__setattr__(self, "inertias", (1.0,) * self.n_joints)
         if len(self.link_lengths) != self.n_joints or len(self.inertias) != self.n_joints:
             raise ValueError("link_lengths/inertias length must match n_joints")
-        if any(v <= 0 for v in self.link_lengths) or any(v <= 0 for v in self.inertias):
-            raise ValueError("link lengths and inertias must be positive")
+        if not all(0 < v < np.inf for v in (*self.link_lengths, *self.inertias)):
+            raise ValueError("link lengths and inertias must be finite and positive")
         if self.obs_noise_std < 0:
             raise ValueError("obs_noise_std must be >= 0")
 

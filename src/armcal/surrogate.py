@@ -7,8 +7,8 @@ its *inputs*, which needs smooth input gradients.
 
 Input pipeline: the (f, p, d) triple is min-max scaled to [0, 1] using the
 parameter bounds; state and action dimensions are z-scored with the dataset
-normalization statistics. The output is produced in z-scored next-state space
-and de-normalized on the way out. All gradients (weights and inputs) are
+normalization statistics. The output is produced in z-scored next-state
+space, where every loss is measured. All gradients (weights and inputs) are
 exact backpropagation, checked against central finite differences in tests.
 """
 
@@ -174,18 +174,6 @@ def backprop(model, X, Y):
 
 
 # --- public operations -------------------------------------------------------
-
-def forward_batch_raw(model, fpd, state_sa):
-    """Batched forward in raw units: (B, 3) params + (B, 3N) state|action
-    rows -> (B, 2N) next states."""
-    if np.shape(state_sa)[-1] != 3 * model.n_joints:
-        raise ValueError(f"state|action rows must have {3 * model.n_joints} "
-                         f"columns, got {np.shape(state_sa)[-1]}")
-    X = build_input(model, fpd, state_sa)
-    y = forward_normalized(model, X) + _z_baseline(model, state_sa)
-    _, _, m_nx, s_nx = _split_stats(model)
-    return y * s_nx + m_nx
-
 
 def adam_step(params, grads, m, v, t, lr):
     """One Adam update, in place, of each array in `params` at step t >= 1.

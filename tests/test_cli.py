@@ -130,6 +130,9 @@ class TestExitCodes:
         "anneal.initial_temperature=Infinity",
         "plant.dt=NaN",
         "surrogate.max_epochs=0",  # TrainConfig: no loss to report
+        # PlantConfig: geometry must be finite
+        "plant.link_lengths=[1,NaN]",
+        "plant.inertias=[1,Infinity]",
     ])
     def test_usage_error_value_a_stage_rejects(self, tmp_path, assignment):
         # every stage's config is built at load, whatever the command
@@ -147,19 +150,21 @@ class TestDatagen:
         assert run(tmp_path, "train-surrogate") == 0
         assert (tmp_path / "norm_stats.json").exists()
         lines = (tmp_path / "dataset.jsonl").read_text().splitlines()
-        assert len(lines) == 3 * 4 * 6  # param sets x episodes x horizon
+        # param sets x training episodes (4, one held out) x horizon
+        assert len(lines) == 3 * 3 * 6
         first = json.loads(lines[0])
         assert tuple(first.keys()) == serialize.DATASET_KEYS
 
     def test_default_scale_row_count(self, tmp_path):
-        # spec-scale rows: 50 x 20 x 50 = 50,000 records; only the row
-        # count matters here, so trim nothing but the training
+        # spec-scale rows: 50 param sets x 15 training episodes (20, five
+        # held out) x 50 steps = 37,500 records; only the row count matters
+        # here, so trim nothing but the training
         base = ["--out", str(tmp_path), "--seed", "0"]
         assert main([*base, "datagen"]) == 0
         assert main([*base, "--set", "surrogate.max_epochs=1",
                      "train-surrogate"]) == 0
         n = sum(1 for _ in open(tmp_path / "dataset.jsonl"))
-        assert n == 50 * 20 * 50
+        assert n == 50 * 15 * 50
 
     def test_truth_within_bounds(self, tmp_path):
         assert run(tmp_path, "datagen") == 0
@@ -202,6 +207,22 @@ class TestTrainSurrogate:
         assert run(b, "train-surrogate", "--dataset",
                    str(tmp_path / "none.jsonl")) == 2
 
+    def test_rows_come_from_the_training_split(self, tmp_path):
+        assert run(tmp_path, "datagen") == 0
+        assert run(tmp_path, "train-surrogate") == 0
+        episodes = serialize.episodes_from_json(
+            json.loads((tmp_path / "episodes.json").read_text())).episodes
+        data = serialize.read_dataset(tmp_path / "dataset.jsonl")
+        starts = {tuple(row) for row in data[:, 3:3 + 4]}  # (q, qd), 2 joints
+
+        def states(eps):
+            return {tuple(np.concatenate([ep.q[i], ep.qd[i]]))
+                    for ep in eps for i in range(ep.horizon)}
+
+        # holdout_fraction 0.25 of 4 episodes: the last one is held out
+        assert states(episodes[:3]) == starts
+        assert not states(episodes[3:]) & starts
+
 
 class TestPipeline:
     def test_full_chain(self, tmp_path):
@@ -243,6 +264,7 @@ class TestPipeline:
                      "identify", "--method", "grad"]) == 0
         report = (tmp_path / "identify_report.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in report[1:]] == ["grad"]
+        assert run(tmp_path, "train-surrogate") == 0
         assert main(["--out", str(tmp_path), "--seed", "0", *FAST,
                      "identify", "--method", "surrogate"]) == 0
         report = (tmp_path / "identify_report.csv").read_text().splitlines()
@@ -257,6 +279,34 @@ class TestPipeline:
         report = (tmp_path / "identify_report.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in report[1:]] == ["surrogate"]
         assert (tmp_path / "identified_params.json").exists()
+
+    def test_default_checkpoint_is_the_trained_one(self, tmp_path):
+        assert run(tmp_path, "datagen") == 0
+        assert run(tmp_path, "train-surrogate") == 0
+        params = tmp_path / "identified_params.json"
+        assert run(tmp_path, "identify", "--method", "surrogate") == 0
+        implicit = params.read_bytes()
+        params.unlink()
+        assert run(tmp_path, "identify", "--method", "surrogate", "--checkpoint",
+                   str(tmp_path / "checkpoint.json")) == 0
+        assert params.read_bytes() == implicit
+
+    def test_surrogate_needs_a_matching_checkpoint(self, tmp_path):
+        assert run(tmp_path, "datagen") == 0
+        # identify never trains: no checkpoint yet, or a missing one
+        assert run(tmp_path, "identify", "--method", "surrogate") == 2
+        assert run(tmp_path, "identify", "--method", "surrogate", "--checkpoint",
+                   str(tmp_path / "none.json")) == 2
+        assert not (tmp_path / "identify_report.csv").exists()
+        # a one-joint checkpoint against the configured two joints
+        one_joint = tmp_path / "one_joint"
+        assert main(["--out", str(one_joint), *FAST, "--set", "plant.n_joints=1",
+                     "datagen"]) == 0
+        assert main(["--out", str(one_joint), *FAST, "--set", "plant.n_joints=1",
+                     "train-surrogate"]) == 0
+        assert run(tmp_path, "identify", "--method", "surrogate", "--checkpoint",
+                   str(one_joint / "checkpoint.json")) == 2
+        assert not (tmp_path / "identify_report.csv").exists()
 
     def test_checkpoint_needs_surrogate_method(self, tmp_path):
         assert run(tmp_path, "datagen") == 0
@@ -348,7 +398,7 @@ class TestConfigPlumbing:
         assert main([*base, "--set", "surrogate.max_epochs=1",
                      "train-surrogate"]) == 0
         lines = (tmp_path / "out" / "dataset.jsonl").read_text().splitlines()
-        assert len(lines) == 2 * 2 * 3
+        assert len(lines) == 2 * 1 * 3  # one of the two episodes held out
 
     def test_set_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -361,7 +411,7 @@ class TestConfigPlumbing:
         assert main([*base, "--set", "surrogate.max_epochs=1",
                      "train-surrogate"]) == 0
         lines = (tmp_path / "out" / "dataset.jsonl").read_text().splitlines()
-        assert len(lines) == 2 * 2 * 4
+        assert len(lines) == 2 * 1 * 4  # one of the two episodes held out
 
     def test_set_section_merges_like_config_file(self, tmp_path):
         def config_hash(*args):

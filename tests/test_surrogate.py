@@ -12,7 +12,7 @@ from armcal.plant import ParamBounds, PhysParams, PlantConfig
 from armcal.surrogate import (ADAM_EPS, MlpCheckpoint, TrainConfig,
                               TrainingDiverged, adam_step, backprop,
                               build_input, default_layer_dims,
-                              forward_batch_raw, forward_normalized, init,
+                              forward_normalized, init,
                               param_loss_and_grad, params_to_unit, train,
                               unit_to_params)
 
@@ -106,32 +106,18 @@ class TestForward:
 
     def test_zero_weights_predict_current_state(self):
         # with a zero network the skip connection carries the prediction:
-        # next state == current state, in raw units, for any normalization
+        # next state == current state, so the parameter loss and its
+        # gradient vanish, for any normalization
         rng = np.random.default_rng(3)
         stats = NormStats(rng.normal(size=13), rng.random(13) + 0.5)
         model = random_model(0, stats=stats)
         for w in model.weights:
             w[:] = 0.0
-        sa = rng.normal(size=(1, 3 * N))
-        pred = forward_batch_raw(model, np.array([[1.0, 50.0, 2.0]]), sa)
-        np.testing.assert_allclose(pred[0], sa[0, :2 * N], atol=1e-12)
-
-    def test_single_and_batch_agree(self):
-        rng = np.random.default_rng(4)
-        stats = NormStats(rng.normal(size=13), rng.random(13) + 0.5)
-        model = random_model(5, stats=stats)
-        fpd = np.array([[2.0, 80.0, 3.0], [7.0, 300.0, 20.0]])
-        sa = rng.normal(size=(2, 3 * N))
-        batch = forward_batch_raw(model, fpd, sa)
-        for i in range(2):
-            single = forward_batch_raw(model, fpd[i:i + 1], sa[i:i + 1])
-            np.testing.assert_allclose(batch[i], single[0], atol=1e-12)
-
-    def test_input_dimension_checked(self):
-        model = random_model(0)
-        with pytest.raises(ValueError, match="columns"):  # one joint's worth
-            forward_batch_raw(model, np.array([[1.0, 1.0, 1.0]]),
-                              np.zeros((1, 3)))
+        sa = rng.normal(size=(4, 3 * N))
+        loss, grad = param_loss_and_grad(model, np.array([1.0, 50.0, 2.0]),
+                                         sa, sa[:, :2 * N].copy())
+        assert loss == 0.0
+        np.testing.assert_array_equal(grad, np.zeros(3))
 
 
 def central_fd(fun, x, eps=1e-6):
