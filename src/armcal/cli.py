@@ -140,10 +140,14 @@ def load_config(args):
 
 def _check_unbacked(config):
     """Range checks of the keys no config class holds."""
-    for key in ("n_param_sets", "n_episodes", "horizon"):
-        if config["datagen"][key] < 1:
-            raise UsageError(f"datagen.{key} must be >= 1, "
-                             f"got {config['datagen'][key]}")
+    counts = {f"datagen.{key}": config["datagen"][key]
+              for key in ("n_param_sets", "n_episodes", "horizon")}
+    counts["surrogate.hidden_width"] = config["surrogate"]["hidden_width"]
+    for key, value in counts.items():
+        if value < 1:
+            raise UsageError(f"{key} must be >= 1, got {value}")
+    if config["run_seed"] < 0:
+        raise UsageError(f"the run seed must be >= 0, got {config['run_seed']}")
     goal = config["tpo"]["goal"]
     if not (len(goal) == 2 and all(_finite_number(v) for v in goal)):
         raise UsageError(f"tpo.goal must be 2 finite numbers, got {goal!r}")
@@ -218,10 +222,8 @@ def _truth_params(config, seeds, bounds):
     if t is not None:
         return PhysParams(float(t[0]), float(t[1]), float(t[2]))
     rng = np.random.default_rng(seeds["truth"])
-    lows, highs = bounds.lows(), bounds.highs()
     # keep the hidden truth off the bound edges so relative errors behave
-    draw = lows + (0.15 + 0.7 * rng.random(3)) * (highs - lows)
-    return PhysParams.from_array(draw)
+    return PhysParams.from_array(bounds.from_unit(0.15 + 0.7 * rng.random(3)))
 
 
 def _input_file(path, what):
@@ -232,9 +234,14 @@ def _input_file(path, what):
     return path
 
 
-def _load_episodes(path):
-    return serialize.episodes_from_json(
+def _load_episodes(path, plant_cfg):
+    """The episodes at `path`; episodes recorded for another number of
+    joints than the configured plant's are a usage error."""
+    episodes = serialize.episodes_from_json(
         serialize.load_json(_input_file(path, "episodes file")))
+    if any(ep.actions.shape[1] != plant_cfg.n_joints for ep in episodes.episodes):
+        raise UsageError(f"episodes in {path} do not match configured n_joints")
+    return episodes
 
 
 def _param_sets(config, stages):
@@ -269,8 +276,9 @@ def cmd_train_surrogate(config, stages, dataset_path):
         if data.shape[1] != 3 + 5 * plant_cfg.n_joints:
             raise UsageError("dataset layout does not match configured n_joints")
     else:
-        train_eps, _ = _split_holdout(_load_episodes(out / "episodes.json"),
-                                      config["holdout_fraction"])
+        train_eps, _ = _split_holdout(
+            _load_episodes(out / "episodes.json", plant_cfg),
+            config["holdout_fraction"])
         data = datagen.generate_transition_arrays(
             train_eps, _param_sets(config, stages), plant_cfg)
         artifacts["dataset"] = out / "dataset.jsonl"
@@ -297,10 +305,16 @@ def cmd_train_surrogate(config, stages, dataset_path):
 
 
 def _split_holdout(episodes, fraction):
-    n = len(episodes.episodes)
-    n_eval = max(1, int(round(n * fraction))) if fraction > 0 else 0
-    if n_eval == 0 or n_eval >= n:
+    """(fit, held-out) episodes: the last round(n * fraction) episodes, at
+    least one, are held out. With fraction 0 both are every episode; a
+    holdout that leaves no episode to fit is a usage error."""
+    if fraction == 0:
         return episodes, episodes
+    n = len(episodes.episodes)
+    n_eval = max(1, int(round(n * fraction)))
+    if n_eval >= n:
+        raise UsageError(f"holdout_fraction {fraction} of {n} episodes "
+                         "leaves none to fit")
     train = datagen.EpisodeSet(episodes.episodes[:n - n_eval], episodes.source)
     evaln = datagen.EpisodeSet(episodes.episodes[n - n_eval:], episodes.source)
     return train, evaln
@@ -321,8 +335,8 @@ def cmd_identify(config, stages, episodes_path, checkpoint_path, method):
         raise UsageError("--checkpoint applies only to --method surrogate")
     out = _outdir(config)
     path = Path(episodes_path if episodes_path else out / "episodes.json")
-    episodes = _load_episodes(path)
     plant_cfg = stages["plant"]
+    episodes = _load_episodes(path, plant_cfg)
     train_eps, eval_eps = _split_holdout(episodes, config["holdout_fraction"])
     truth_path = path.parent / "truth.json"
     truth = (serialize.params_from_json(serialize.load_json(truth_path))
@@ -347,6 +361,9 @@ def cmd_identify(config, stages, episodes_path, checkpoint_path, method):
         n = plant_cfg.n_joints
         if model.layer_dims[0] != 3 + 3 * n or model.layer_dims[-1] != 2 * n:
             raise UsageError("checkpoint layout does not match configured n_joints")
+        if model.bounds != stages["bounds"]:
+            raise UsageError("checkpoint was trained in other bounds than "
+                             "the configured ones")
         sur_params, _ = identify.refine_params(model, train_eps, stages["refine"],
                                                _param_sets(config, stages))
         reports.append(_report("surrogate", sur_params, time.perf_counter() - t0,

@@ -75,9 +75,7 @@ def sample_params(n, bounds: ParamBounds, seed):
     """n parameter triples drawn uniformly per coordinate within bounds."""
     if n < 1:
         raise ValueError("need n >= 1")
-    rng = np.random.default_rng(seed)
-    lows, highs = bounds.lows(), bounds.highs()
-    draws = lows + (highs - lows) * rng.random((n, 3))
+    draws = bounds.from_unit(np.random.default_rng(seed).random((n, 3)))
     return [PhysParams.from_array(v) for v in draws]
 
 

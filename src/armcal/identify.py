@@ -135,8 +135,9 @@ def minimize_projected_adam(objective, u0, lr, max_steps, tol, window):
 
 def refine_params(model, episodes, cfg: RefineConfig, candidates=None):
     """Minimize the surrogate prediction error on real transitions over
-    (f, p, d) only, weights frozen. Optimization runs in min-max-normalized
-    parameter coordinates so Adam steps are comparable across coordinates.
+    (f, p, d) only, weights frozen. Optimization runs in the bound-scaled
+    coordinates of ParamBounds.to_unit, so Adam steps are comparable across
+    coordinates; cfg.bounds must be the bounds the model was trained in.
 
     candidates: optional parameter sets used by the "best-sampled" init.
     Returns (identified PhysParams, loss curve).
@@ -146,8 +147,8 @@ def refine_params(model, episodes, cfg: RefineConfig, candidates=None):
     _, _, state_sa, next_raw = _episode_tensors(episodes)
 
     def objective(u):
-        fpd = surrogate.unit_to_params(u[None, :], cfg.bounds)[0]
-        return surrogate.param_loss_and_grad(model, fpd, state_sa, next_raw)
+        return surrogate.param_loss_and_grad(model, cfg.bounds.from_unit(u),
+                                             state_sa, next_raw)
 
     if cfg.init == "best-sampled" and candidates:
         losses = [surrogate.param_loss_and_grad(
@@ -155,12 +156,11 @@ def refine_params(model, episodes, cfg: RefineConfig, candidates=None):
         start = candidates[int(np.argmin(losses))].as_array()
     else:
         start = (cfg.bounds.lows() + cfg.bounds.highs()) / 2.0
-    u0 = surrogate.params_to_unit(start[None, :], cfg.bounds)[0]
     best_u, curve = minimize_projected_adam(
-        objective, u0, cfg.learning_rate, cfg.max_steps,
+        objective, cfg.bounds.to_unit(start), cfg.learning_rate, cfg.max_steps,
         cfg.convergence_tol, cfg.convergence_window)
-    fpd = surrogate.unit_to_params(best_u[None, :], cfg.bounds)[0]
-    return PhysParams.from_array(cfg.bounds.clip(fpd)), curve
+    fpd = cfg.bounds.clip(cfg.bounds.from_unit(best_u))
+    return PhysParams.from_array(fpd), curve
 
 
 # --- simulated annealing baseline -------------------------------------------
@@ -244,7 +244,8 @@ def make_one_step_residuals(episodes, plant_cfg):
 
 def gauss_newton_params(episodes, bounds: ParamBounds, plant_cfg: PlantConfig):
     """Damped Gauss-Newton (Levenberg-Marquardt) on the one-step residuals of
-    make_one_step_residuals, in bound-scaled coordinates u in [0, 1]^3.
+    make_one_step_residuals, in the bound-scaled coordinates u in [0, 1]^3
+    of ParamBounds.to_unit.
 
     Starts at the bounds midpoint; when that run leaves residual cost, also
     starts from each f in LM_RESTART_F and keeps the run of lowest final
@@ -264,20 +265,20 @@ def gauss_newton_params(episodes, bounds: ParamBounds, plant_cfg: PlantConfig):
     if not episodes.episodes:
         raise ValueError("no episodes to fit against")
     residuals = make_one_step_residuals(episodes, plant_cfg)
-    lows, span = bounds.lows(), bounds.highs() - bounds.lows()
-    u, curve = _levenberg_marquardt(residuals, lows, span, np.full(3, 0.5))
+    u, curve = _levenberg_marquardt(residuals, bounds, np.full(3, 0.5))
     if curve[-1] > LM_RESTART_REL_COST * curve[0]:
         for f_start in LM_RESTART_F:
             u_alt, curve_alt = _levenberg_marquardt(
-                residuals, lows, span, np.array([f_start, 0.5, 0.5]))
+                residuals, bounds, np.array([f_start, 0.5, 0.5]))
             if curve_alt[-1] < curve[-1]:
                 u, curve = u_alt, curve_alt
-    return PhysParams.from_array(bounds.clip(lows + u * span)), curve
+    return PhysParams.from_array(bounds.clip(bounds.from_unit(u))), curve
 
 
-def _levenberg_marquardt(residuals, lows, span, u):
+def _levenberg_marquardt(residuals, bounds: ParamBounds, u):
     """One LM run from bound-scaled u; returns (final u, cost curve)."""
-    r, J = residuals(lows + u * span)
+    span = bounds.highs() - bounds.lows()
+    r, J = residuals(bounds.from_unit(u))
     cost = float(r @ r)
     if not np.isfinite(cost):
         raise RuntimeError(f"non-finite residuals at the start u={u.tolist()}")
@@ -296,7 +297,7 @@ def _levenberg_marquardt(residuals, lows, span, u):
             step = np.zeros(3)
             step[free] = np.linalg.solve(A + lam * D, -g[free])
             u_new = np.clip(u + step, 0.0, 1.0)
-            r_new, J_new = residuals(lows + u_new * span)
+            r_new, J_new = residuals(bounds.from_unit(u_new))
             cost_new = float(r_new @ r_new)
             if cost_new < cost:
                 break

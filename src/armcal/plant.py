@@ -20,6 +20,9 @@ from . import _kernel_py
 
 @dataclass(frozen=True)
 class ParamBounds:
+    """The box of (f, p, d) values, and its map to the unit cube [0, 1]^3
+    that the optimisers and the surrogate's input layer work in."""
+
     f_min: float = 0.0
     f_max: float = 10.0
     p_min: float = 1.0
@@ -33,6 +36,8 @@ class ParamBounds:
                              (self.d_min, self.d_max, "d")):
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise ValueError(f"non-finite bounds for {name}")
+            if lo < 0:  # every point of the box is a valid PhysParams
+                raise ValueError(f"negative lower bound for {name}: {lo}")
             if lo > hi:
                 raise ValueError(f"empty bound interval for {name}: [{lo}, {hi}]")
 
@@ -44,6 +49,18 @@ class ParamBounds:
 
     def clip(self, vec):
         return np.clip(vec, self.lows(), self.highs())
+
+    def to_unit(self, fpd):
+        """(3,) or (B, 3) parameters to bound-scaled coordinates; a collapsed
+        interval maps to 0.5."""
+        lows, span = self.lows(), self.highs() - self.lows()
+        u = (np.asarray(fpd, dtype=float) - lows) / np.where(span > 0, span, 1.0)
+        return np.where(span > 0, u, 0.5)
+
+    def from_unit(self, u):
+        """(3,) or (B, 3) bound-scaled coordinates to parameters."""
+        lows, span = self.lows(), self.highs() - self.lows()
+        return lows + np.asarray(u, dtype=float) * span
 
 
 @dataclass(frozen=True)

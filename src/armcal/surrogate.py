@@ -5,8 +5,8 @@ Three weight layers (two tanh hidden layers, linear output). tanh is chosen
 deliberately: the refinement stage differentiates the network with respect to
 its *inputs*, which needs smooth input gradients.
 
-Input pipeline: the (f, p, d) triple is min-max scaled to [0, 1] using the
-parameter bounds; state and action dimensions are z-scored with the dataset
+Input pipeline: the (f, p, d) triple is mapped to [0, 1] by the checkpoint's
+ParamBounds.to_unit; state and action dimensions are z-scored with the dataset
 normalization statistics. The output is produced in z-scored next-state
 space, where every loss is measured. All gradients (weights and inputs) are
 exact backpropagation, checked against central finite differences in tests.
@@ -92,25 +92,6 @@ def default_layer_dims(n_joints, hidden=HIDDEN_WIDTH):
 
 # --- normalization -----------------------------------------------------------
 
-def _param_scale(bounds: ParamBounds):
-    lows, highs = bounds.lows(), bounds.highs()
-    rng = highs - lows
-    safe = np.where(rng > 0, rng, 1.0)
-    return lows, rng, safe
-
-
-def params_to_unit(fpd, bounds: ParamBounds):
-    """(B, 3) raw parameters -> [0, 1] coordinates (0.5 for collapsed bounds)."""
-    lows, rng, safe = _param_scale(bounds)
-    u = (np.atleast_2d(fpd) - lows) / safe
-    return np.where(rng > 0, u, 0.5)
-
-
-def unit_to_params(u, bounds: ParamBounds):
-    lows, rng, _ = _param_scale(bounds)
-    return lows + np.atleast_2d(u) * rng
-
-
 def _split_stats(model):
     n = model.n_joints
     mean, std = model.norm_stats.mean, model.norm_stats.std
@@ -122,9 +103,8 @@ def _split_stats(model):
 def build_input(model, fpd, state_sa):
     """Assemble the normalized network input from raw parameter rows and raw
     (state | action) rows."""
-    u = params_to_unit(fpd, model.bounds)
     m_sa, s_sa, _, _ = _split_stats(model)
-    return np.hstack([u, (state_sa - m_sa) / s_sa])
+    return np.hstack([model.bounds.to_unit(fpd), (state_sa - m_sa) / s_sa])
 
 
 def _z_baseline(model, state_sa):

@@ -133,6 +133,9 @@ class TestExitCodes:
         # PlantConfig: geometry must be finite
         "plant.link_lengths=[1,NaN]",
         "plant.inertias=[1,Infinity]",
+        "surrogate.hidden_width=0",  # no layer to build
+        "run_seed=-1",  # no seed sequence to derive
+        "bounds.f=[-5,10]",  # ParamBounds: its points must be valid params
     ])
     def test_usage_error_value_a_stage_rejects(self, tmp_path, assignment):
         # every stage's config is built at load, whatever the command
@@ -307,6 +310,32 @@ class TestPipeline:
         assert run(tmp_path, "identify", "--method", "surrogate", "--checkpoint",
                    str(one_joint / "checkpoint.json")) == 2
         assert not (tmp_path / "identify_report.csv").exists()
+        # a checkpoint trained in the default bounds, refined in others
+        assert run(tmp_path, "train-surrogate") == 0
+        assert run(tmp_path, "--set", "bounds.f=[0,40]", "--set",
+                   "bounds.p=[300,900]", "identify", "--method", "surrogate") == 2
+        assert not (tmp_path / "identify_report.csv").exists()
+
+    def test_holdout_must_leave_an_episode_to_fit(self, tmp_path):
+        one = ["--set", "datagen.n_episodes=1"]
+        assert run(tmp_path, *one, "datagen") == 0
+        # holdout_fraction 0.25 of one episode would hold out the only one
+        assert run(tmp_path, *one, "identify", "--method", "grad") == 2
+        assert not (tmp_path / "identify_report.csv").exists()
+        assert run(tmp_path, *one, "train-surrogate") == 2
+        assert not (tmp_path / "dataset.jsonl").exists()
+        # with no holdout, the fit is scored on the episodes it fitted
+        assert run(tmp_path, *one, "--set", "holdout_fraction=0",
+                   "identify", "--method", "grad") == 0
+
+    def test_episodes_need_the_configured_n_joints(self, tmp_path):
+        assert main(["--out", str(tmp_path), *FAST, "--set", "plant.n_joints=3",
+                     "datagen"]) == 0
+        # against the default two joints
+        assert run(tmp_path, "identify") == 2
+        assert not (tmp_path / "identify_report.csv").exists()
+        assert run(tmp_path, "train-surrogate") == 2
+        assert not (tmp_path / "dataset.jsonl").exists()
 
     def test_checkpoint_needs_surrogate_method(self, tmp_path):
         assert run(tmp_path, "datagen") == 0

@@ -11,11 +11,8 @@ from hypothesis.extra.numpy import arrays
 from armcal import serialize
 from armcal.datagen import Episode, EpisodeSet
 
-# the derandomized examples are a fixed set, so a failure reproduces; the
-# shape checks need fewer examples than the round trip of the values
-PROPERTY = settings(derandomize=True, database=None, deadline=None,
-                    max_examples=40)
-CHECK = settings(PROPERTY, max_examples=15)
+# the shape checks need fewer examples than the round trip of the values
+CHECK = settings(max_examples=15)
 
 # finite doubles, with the values the JSON text treats specially drawn often:
 # -0.0 (written as 0), subnormals, integral values (written as integers below
@@ -39,7 +36,6 @@ def episodes(draw):
 
 
 class TestEpisodeJson:
-    @PROPERTY
     @given(st.lists(episodes(), min_size=1, max_size=3))
     def test_round_trip_exact_and_redump_identical(self, drawn):
         eps = EpisodeSet(tuple(Episode(*arrs) for arrs in drawn))

@@ -100,7 +100,7 @@ class TestRefine:
         # bypass the MLP: a stub whose param_loss is quadratic with a known
         # minimizer exercises the full refinement loop
         target_u = np.array([0.25, 0.6, 0.8])
-        truth = surrogate.unit_to_params(target_u[None, :], BOUNDS)[0]
+        truth = BOUNDS.from_unit(target_u)
 
         eps = datagen.make_synthetic_real(PhysParams.from_array(truth),
                                           2, 5, CFG, seed=0)
@@ -109,7 +109,7 @@ class TestRefine:
             bounds = BOUNDS
 
         def stub_loss(model, fpd, state_sa, next_raw):
-            u = surrogate.params_to_unit(np.asarray(fpd)[None, :], BOUNDS)[0]
+            u = BOUNDS.to_unit(fpd)
             d = u - target_u
             return float(d @ d), 2.0 * d
 
@@ -123,7 +123,7 @@ class TestRefine:
                              bounds=BOUNDS))
         finally:
             surrogate.param_loss_and_grad = real
-        got_u = surrogate.params_to_unit(got.as_array()[None, :], BOUNDS)[0]
+        got_u = BOUNDS.to_unit(got.as_array())
         np.testing.assert_allclose(got_u, target_u, atol=1e-3)
         assert curve[-1] < curve[0]
 
@@ -291,10 +291,9 @@ class TestGaussNewton:
                            24.488767148407582)
         eps = self.cli_episodes(601701079, truth, CFG)
         residuals = make_one_step_residuals(eps, CFG)
-        lows, span = BOUNDS.lows(), BOUNDS.highs() - BOUNDS.lows()
         u_mid, curve_mid = identify._levenberg_marquardt(
-            residuals, lows, span, np.full(3, 0.5))
-        assert abs(lows[0] + u_mid[0] * span[0] - truth.f) / truth.f > 0.05
+            residuals, BOUNDS, np.full(3, 0.5))
+        assert abs(BOUNDS.from_unit(u_mid)[0] - truth.f) / truth.f > 0.05
         assert curve_mid[-1] > 1e-6
         got, curve = gauss_newton_params(eps, BOUNDS, CFG)
         np.testing.assert_allclose(got.as_array(), truth.as_array(), rtol=1e-9)

@@ -15,9 +15,7 @@ from armcal import serialize, surrogate, tpo
 from armcal.datagen import NormStats
 from armcal.plant import ParamBounds
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None,
-                    max_examples=40)
-FLOATS = settings(PROPERTY, max_examples=2000)
+FLOATS = settings(max_examples=2000)
 
 # the values whose text is special: -0.0 (written as 0), subnormals, integral
 # values (integers below 1e17 in magnitude) and both sides of the 1e17 edge
@@ -82,7 +80,6 @@ def assert_same_arrays(got, want):
 class TestCheckpointJson:
     DIMS = (3 + 3, 3, 2, 2)  # one joint, hidden width 3 then 2
 
-    @PROPERTY
     @given(layer_stacks(DIMS), arrays(np.float64, (6,), elements=VALUES),
            arrays(np.float64, (6,), elements=POSITIVE),
            st.integers(0, 2 ** 63 - 1), st.one_of(st.none(), VALUES))
@@ -108,7 +105,6 @@ class TestCheckpointJson:
 class TestPolicyJson:
     DIMS = (2 * 2 + 2, 3, 2)  # two joints, one hidden layer of 3
 
-    @PROPERTY
     @given(layer_stacks(DIMS), st.floats(0.0, 10.0))
     def test_round_trip_exact_and_redump_identical(self, layers, std):
         weights, biases = layers

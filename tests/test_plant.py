@@ -1,6 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from armcal.plant import (JointState, ParamBounds, PhysParams, PlantConfig, fk,
                           fk_positions, rollout_batch, step_batch,
@@ -79,40 +82,51 @@ class TestSensitivities:
         step_batch(fpd, q2, qd2, target, cfg)
         return np.hstack([q2, qd2])
 
+    def _check(self, fpd, q, qd, target, cfg):
+        q2, qd2 = q.copy(), qd.copy()
+        sq, sqd = step_batch_sensitivities(fpd, q2, qd2, target, cfg)
+        # the tangent rides along without changing the state update
+        npt.assert_array_equal(np.hstack([q2, qd2]),
+                               self._next(fpd, q, qd, target, cfg))
+        analytic = np.concatenate([sq, sqd], axis=2)  # (3, B, 2N)
+        for j in range(3):
+            # rows are independent, so each gets a step scaled to its own
+            # parameter value
+            h = 1e-6 * np.maximum(1.0, fpd[:, j])
+            hi, lo = fpd.copy(), fpd.copy()
+            hi[:, j] += h
+            lo[:, j] -= h
+            fd = (self._next(hi, q, qd, target, cfg)
+                  - self._next(lo, q, qd, target, cfg)) / (2 * h[:, None])
+            # relative error of each row's (q, qd) derivative vector, so
+            # that difference round-off on a near-zero entry is measured
+            # against the derivatives of that row
+            an = analytic[j]
+            err = np.linalg.norm(an - fd, axis=1)
+            scale = np.maximum(np.maximum(np.linalg.norm(fd, axis=1),
+                                          np.linalg.norm(an, axis=1)), 1e-8)
+            assert np.max(err / scale) <= 1e-5
+
     def test_match_central_differences(self):
         rng = np.random.default_rng(50)
         bounds = ParamBounds()
-        cfg = PlantConfig()
         b = 16
         for _ in range(100):
             fpd = bounds.lows() + rng.random((b, 3)) * (
                 bounds.highs() - bounds.lows())
-            q = rng.uniform(-1.0, 1.0, (b, 2))
-            qd = rng.uniform(-0.5, 0.5, (b, 2))
-            target = rng.uniform(-np.pi, np.pi, (b, 2))
-            q2, qd2 = q.copy(), qd.copy()
-            sq, sqd = step_batch_sensitivities(fpd, q2, qd2, target, cfg)
-            # the tangent rides along without changing the state update
-            npt.assert_array_equal(np.hstack([q2, qd2]),
-                                   self._next(fpd, q, qd, target, cfg))
-            analytic = np.concatenate([sq, sqd], axis=2)  # (3, B, 2N)
-            for j in range(3):
-                # rows are independent, so each gets a step scaled to its own
-                # parameter value
-                h = 1e-6 * np.maximum(1.0, fpd[:, j])
-                hi, lo = fpd.copy(), fpd.copy()
-                hi[:, j] += h
-                lo[:, j] -= h
-                fd = (self._next(hi, q, qd, target, cfg)
-                      - self._next(lo, q, qd, target, cfg)) / (2 * h[:, None])
-                # relative error of each row's (q, qd) derivative vector, so
-                # that difference round-off on a near-zero entry is measured
-                # against the derivatives of that row
-                an = analytic[j]
-                err = np.linalg.norm(an - fd, axis=1)
-                scale = np.maximum(np.maximum(np.linalg.norm(fd, axis=1),
-                                              np.linalg.norm(an, axis=1)), 1e-8)
-                assert np.max(err / scale) <= 1e-5
+            self._check(fpd, rng.uniform(-1.0, 1.0, (b, 2)),
+                        rng.uniform(-0.5, 0.5, (b, 2)),
+                        rng.uniform(-np.pi, np.pi, (b, 2)), PlantConfig())
+
+    @given(st.integers(1, 8).flatmap(lambda b: st.tuples(
+        arrays(np.float64, (b, 3), elements=st.floats(0.0, 1.0)),
+        arrays(np.float64, (b, 2), elements=st.floats(-1.0, 1.0)),
+        arrays(np.float64, (b, 2), elements=st.floats(-0.5, 0.5)),
+        arrays(np.float64, (b, 2), elements=st.floats(-np.pi, np.pi)))))
+    def test_match_central_differences_property(self, drawn):
+        # the same check at drawn rows, parameters anywhere in the bounds
+        u, q, qd, target = drawn
+        self._check(ParamBounds().from_unit(u), q, qd, target, PlantConfig())
 
 
 class TestFk:

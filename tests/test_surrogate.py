@@ -13,8 +13,7 @@ from armcal.surrogate import (ADAM_EPS, MlpCheckpoint, TrainConfig,
                               TrainingDiverged, adam_step, backprop,
                               build_input, default_layer_dims,
                               forward_normalized, init,
-                              param_loss_and_grad, params_to_unit, train,
-                              unit_to_params)
+                              param_loss_and_grad, train)
 
 BOUNDS = ParamBounds()
 N = 2  # joints used throughout
@@ -61,19 +60,17 @@ class TestParamScaling:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         fpd = BOUNDS.lows() + rng.random((50, 3)) * (BOUNDS.highs() - BOUNDS.lows())
-        u = params_to_unit(fpd, BOUNDS)
+        u = BOUNDS.to_unit(fpd)
         assert np.all(u >= 0) and np.all(u <= 1)
-        np.testing.assert_allclose(unit_to_params(u, BOUNDS), fpd, atol=1e-12)
+        np.testing.assert_allclose(BOUNDS.from_unit(u), fpd, atol=1e-12)
 
     def test_endpoints(self):
-        np.testing.assert_array_equal(
-            params_to_unit(BOUNDS.lows()[None, :], BOUNDS)[0], [0, 0, 0])
-        np.testing.assert_array_equal(
-            params_to_unit(BOUNDS.highs()[None, :], BOUNDS)[0], [1, 1, 1])
+        np.testing.assert_array_equal(BOUNDS.to_unit(BOUNDS.lows()), [0, 0, 0])
+        np.testing.assert_array_equal(BOUNDS.to_unit(BOUNDS.highs()), [1, 1, 1])
 
     def test_collapsed_bounds_map_to_half(self):
         collapsed = ParamBounds(f_min=2.0, f_max=2.0)
-        u = params_to_unit(np.array([[2.0, 100.0, 5.0]]), collapsed)
+        u = collapsed.to_unit(np.array([[2.0, 100.0, 5.0]]))
         assert u[0, 0] == 0.5
 
 
@@ -188,10 +185,10 @@ class TestGradients:
         _, g = param_loss_and_grad(model, fpd, state_sa, next_raw)
         # gradient is reported in unit coordinates; compare against FD of the
         # loss as a function of the unit coordinates
-        u = params_to_unit(fpd[None, :], BOUNDS)[0]
+        u = BOUNDS.to_unit(fpd)
 
         def loss_at_u():
-            fpd[:] = unit_to_params(u[None, :], BOUNDS)[0]
+            fpd[:] = BOUNDS.from_unit(u)
             return param_loss_and_grad(model, fpd, state_sa, next_raw)[0]
 
         fd = central_fd(loss_at_u, u, eps=1e-7)
