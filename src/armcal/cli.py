@@ -13,6 +13,8 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -209,10 +211,21 @@ def _outdir(config):
     return out
 
 
+def _environment():
+    """What a timing depends on besides the code: interpreter, numpy and its
+    BLAS, core count and the BLAS thread settings (None when unset)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas.get("name"), "cpu_count": os.cpu_count(),
+            **{k: os.environ.get(k)
+               for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
+
+
 def _write_manifest(out, config, artifacts):
     doc = {"config_hash": serialize.config_hash(config),
            "artifacts": {k: str(v) for k, v in artifacts.items()},
            "tool_version": __version__,
+           "environment": _environment(),
            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
     serialize.dump_json(doc, out / "manifest.json")
 
@@ -275,6 +288,14 @@ def cmd_train_surrogate(config, stages, dataset_path):
         data = serialize.read_dataset(_input_file(dataset_path, "dataset"))
         if data.shape[1] != 3 + 5 * plant_cfg.n_joints:
             raise UsageError("dataset layout does not match configured n_joints")
+        # a dataset records no bounds: its rows must lie in the configured
+        # ones, which the network's input layer scales (f, p, d) by
+        lows, highs = stages["bounds"].lows(), stages["bounds"].highs()
+        for k, name in enumerate("fpd"):
+            col = data[:, k]
+            if len(col) and not lows[k] <= col.min() <= col.max() <= highs[k]:
+                raise UsageError(f"dataset rows have {name} outside the "
+                                 f"configured bounds [{lows[k]}, {highs[k]}]")
     else:
         train_eps, _ = _split_holdout(
             _load_episodes(out / "episodes.json", plant_cfg),

@@ -145,20 +145,16 @@ def refine_params(model, episodes, cfg: RefineConfig, candidates=None):
     if not episodes.episodes:
         raise ValueError("no episodes to refine against")
     _, _, state_sa, next_raw = _episode_tensors(episodes)
-
-    def objective(u):
-        return surrogate.param_loss_and_grad(model, cfg.bounds.from_unit(u),
-                                             state_sa, next_raw)
-
+    objective = surrogate.make_param_objective(model, state_sa, next_raw)
     if cfg.init == "best-sampled" and candidates:
-        losses = [surrogate.param_loss_and_grad(
-            model, c.as_array(), state_sa, next_raw)[0] for c in candidates]
+        losses = [objective(c.as_array(), grad=False) for c in candidates]
         start = candidates[int(np.argmin(losses))].as_array()
     else:
         start = (cfg.bounds.lows() + cfg.bounds.highs()) / 2.0
     best_u, curve = minimize_projected_adam(
-        objective, cfg.bounds.to_unit(start), cfg.learning_rate, cfg.max_steps,
-        cfg.convergence_tol, cfg.convergence_window)
+        lambda u: objective(cfg.bounds.from_unit(u)), cfg.bounds.to_unit(start),
+        cfg.learning_rate, cfg.max_steps, cfg.convergence_tol,
+        cfg.convergence_window)
     fpd = cfg.bounds.clip(cfg.bounds.from_unit(best_u))
     return PhysParams.from_array(fpd), curve
 

@@ -10,6 +10,9 @@ ParamBounds.to_unit; state and action dimensions are z-scored with the dataset
 normalization statistics. The output is produced in z-scored next-state
 space, where every loss is measured. All gradients (weights and inputs) are
 exact backpropagation, checked against central finite differences in tests.
+Refinement's objective (make_param_objective) normalizes its rows once and,
+on every call, runs the same passes into one reused workspace, skipping the
+weight gradients it does not use.
 """
 
 from dataclasses import dataclass, field
@@ -117,29 +120,63 @@ def _z_baseline(model, state_sa):
 
 # --- forward / backward on normalized batches --------------------------------
 
-def forward_normalized(model, X, keep_cache=False):
+@dataclass(frozen=True)
+class Workspace:
+    """Arrays the passes write into, so that a caller making many passes
+    over one batch allocates nothing; workspace(layer_dims, rows) makes one
+    for batches of up to `rows` rows."""
+    acts: list  # output of layer i, (rows, layer_dims[i + 1])
+    deltas: list  # d(loss)/d(input of layer i), (rows, layer_dims[i])
+    slope: np.ndarray  # flat scratch for the tanh slope 1 - a^2
+
+
+def workspace(layer_dims, rows) -> Workspace:
+    return Workspace([np.empty((rows, d)) for d in layer_dims[1:]],
+                     [np.empty((rows, d)) for d in layer_dims[:-1]],
+                     np.empty(rows * max(layer_dims[1:-1], default=0)))
+
+
+def forward_normalized(model, X, keep_cache=False, ws=None):
+    """Network output for normalized input rows; with keep_cache, also the
+    activations (input first) that backward_from_delta needs. With a
+    workspace, the output and the layer activations are views into it,
+    valid until its next use."""
     acts = [np.atleast_2d(X)]
+    B = len(acts[0])
     n_layers = len(model.weights)
-    h = acts[0]
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ W.T + b
-        h = np.tanh(z) if i < n_layers - 1 else z
+        h = np.matmul(acts[i], W.T, out=None if ws is None else ws.acts[i][:B])
+        h += b
+        if i < n_layers - 1:
+            np.tanh(h, out=h)
         acts.append(h)
     if keep_cache:
         return h, acts
     return h
 
 
-def backward_from_delta(model, acts, delta):
-    """Backward pass given d(loss)/d(output) rows; returns (dWs, dbs, dX)."""
-    dWs = [None] * len(model.weights)
-    dbs = [None] * len(model.weights)
-    for i in range(len(model.weights) - 1, -1, -1):
-        dWs[i] = delta.T @ acts[i]
-        dbs[i] = delta.sum(axis=0)
-        delta = delta @ model.weights[i]
+def backward_from_delta(model, acts, delta, weight_grads=True, ws=None):
+    """Backward pass given d(loss)/d(output) rows; returns (dWs, dbs, dX).
+
+    With weight_grads=False only dX is computed, and dWs and dbs are None.
+    With a workspace, dX is a view into it, valid until its next use.
+    """
+    n_layers = len(model.weights)
+    dWs = [None] * n_layers if weight_grads else None
+    dbs = [None] * n_layers if weight_grads else None
+    B = len(delta)
+    for i in range(n_layers - 1, -1, -1):
+        if weight_grads:
+            dWs[i] = delta.T @ acts[i]
+            dbs[i] = delta.sum(axis=0)
+        delta = np.matmul(delta, model.weights[i],
+                          out=None if ws is None else ws.deltas[i][:B])
         if i > 0:  # chain through the tanh of the previous hidden layer
-            delta = delta * (1.0 - acts[i] * acts[i])
+            a = acts[i]
+            slope = np.multiply(a, a, out=None if ws is None
+                                else ws.slope[:a.size].reshape(a.shape))
+            np.subtract(1.0, slope, out=slope)
+            delta *= slope
     return dWs, dbs, delta
 
 
@@ -228,18 +265,39 @@ def train(model: MlpCheckpoint, data, cfg: TrainConfig) -> MlpCheckpoint:
     return model
 
 
-def param_loss_and_grad(model, fpd_row, state_sa, next_raw):
-    """L_para over a batch of real transitions, with gradient in unit-cube
-    parameter coordinates.
+def make_param_objective(model, state_sa, next_raw):
+    """L_para over a batch of real transitions as a function of the (f, p, d)
+    shared by every row, weights frozen.
 
-    fpd_row: (3,) raw parameters shared by every row.
     state_sa: (B, 3N) raw state|action rows. next_raw: (B, 2N) observed next
-    states. Loss is the mean squared error in z-scored next-state space.
+    states. The normalized state|action columns, the targets and one
+    workspace are built once; a call writes only the parameter columns.
+    Returns objective(fpd_row, grad=True): fpd_row is (3,) raw parameters;
+    the loss is the mean squared error in z-scored next-state space, and with
+    grad it comes with its gradient in ParamBounds.to_unit coordinates, as
+    (loss, (3,) gradient).
     """
     B = len(state_sa)
-    fpd = np.broadcast_to(np.asarray(fpd_row, dtype=float), (B, 3))
-    X = build_input(model, fpd, state_sa)
-    _, _, m_nx, s_nx = _split_stats(model)
+    m_sa, s_sa, m_nx, s_nx = _split_stats(model)
+    X = np.empty((B, model.layer_dims[0]))
+    X[:, 3:] = (state_sa - m_sa) / s_sa
     Y = (next_raw - m_nx) / s_nx - _z_baseline(model, state_sa)
-    loss, _, _, dX = backprop(model, X, Y)
-    return loss, dX[:, :3].sum(axis=0)
+    ws = workspace(model.layer_dims, B)
+
+    def objective(fpd_row, grad=True):
+        X[:, :3] = model.bounds.to_unit(np.asarray(fpd_row, dtype=float))
+        out, acts = forward_normalized(model, X, keep_cache=True, ws=ws)
+        diff = out - Y
+        loss = float(np.mean(np.sum(diff * diff, axis=1)))
+        if not grad:
+            return loss
+        _, _, dX = backward_from_delta(model, acts, 2.0 * diff / B,
+                                       weight_grads=False, ws=ws)
+        return loss, dX[:, :3].sum(axis=0)
+
+    return objective
+
+
+def param_loss_and_grad(model, fpd_row, state_sa, next_raw):
+    """make_param_objective's (loss, gradient), for one parameter row."""
+    return make_param_objective(model, state_sa, next_raw)(fpd_row)

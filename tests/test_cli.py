@@ -192,6 +192,14 @@ class TestDatagen:
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert {"dataset", "norm_stats", "checkpoint"} <= set(man["artifacts"])
 
+    def test_manifest_records_the_environment(self, tmp_path):
+        assert run(tmp_path, "datagen") == 0
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert set(env) == {"python", "numpy", "blas", "cpu_count",
+                            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+        assert env["numpy"] == np.__version__
+        assert env["cpu_count"] >= 1
+
 
 class TestTrainSurrogate:
     def test_outside_dataset(self, tmp_path):
@@ -209,6 +217,16 @@ class TestTrainSurrogate:
         assert run(b, "train-surrogate", "--dataset", str(one_joint)) == 2
         assert run(b, "train-surrogate", "--dataset",
                    str(tmp_path / "none.jsonl")) == 2
+
+    def test_outside_dataset_must_lie_in_the_bounds(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(a, "datagen") == 0
+        assert run(a, "train-surrogate") == 0
+        # rows built in the default bounds (f up to 10) against f in [0, 1]
+        assert run(b, "--set", "bounds.f=[0,1]", "train-surrogate", "--dataset",
+                   str(a / "dataset.jsonl")) == 2
+        assert "f outside the configured bounds" in capsys.readouterr().err
+        assert not (b / "checkpoint.json").exists()
 
     def test_rows_come_from_the_training_split(self, tmp_path):
         assert run(tmp_path, "datagen") == 0

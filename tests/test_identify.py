@@ -95,8 +95,19 @@ class TestProjectedAdam:
                                     np.full(3, 0.5), 0.01, 10, 1e-8, 5)
 
 
+def stub_objective(monkeypatch, loss_and_grad):
+    """Make refinement's objective the given (loss, grad) function of the
+    raw parameters, whatever the model and episodes."""
+    def objective(fpd_row, grad=True):
+        loss, g = loss_and_grad(fpd_row)
+        return (loss, g) if grad else loss
+
+    monkeypatch.setattr(surrogate, "make_param_objective",
+                        lambda model, state_sa, next_raw: objective)
+
+
 class TestRefine:
-    def test_recovers_minimum_of_quadratic_surrogate_stub(self):
+    def test_recovers_minimum_of_quadratic_surrogate_stub(self, monkeypatch):
         # bypass the MLP: a stub whose param_loss is quadratic with a known
         # minimizer exercises the full refinement loop
         target_u = np.array([0.25, 0.6, 0.8])
@@ -105,29 +116,22 @@ class TestRefine:
         eps = datagen.make_synthetic_real(PhysParams.from_array(truth),
                                           2, 5, CFG, seed=0)
 
-        class Stub:
-            bounds = BOUNDS
-
-        def stub_loss(model, fpd, state_sa, next_raw):
+        def stub_loss(fpd):
             u = BOUNDS.to_unit(fpd)
             d = u - target_u
             return float(d @ d), 2.0 * d
 
-        real = surrogate.param_loss_and_grad
-        surrogate.param_loss_and_grad = stub_loss
-        try:
-            got, curve = refine_params(
-                Stub(), eps,
-                RefineConfig(learning_rate=0.01, max_steps=3000,
-                             init="bounds-midpoint", convergence_tol=1e-14,
-                             bounds=BOUNDS))
-        finally:
-            surrogate.param_loss_and_grad = real
+        stub_objective(monkeypatch, stub_loss)
+        got, curve = refine_params(
+            None, eps,
+            RefineConfig(learning_rate=0.01, max_steps=3000,
+                         init="bounds-midpoint", convergence_tol=1e-14,
+                         bounds=BOUNDS))
         got_u = BOUNDS.to_unit(got.as_array())
         np.testing.assert_allclose(got_u, target_u, atol=1e-3)
         assert curve[-1] < curve[0]
 
-    def test_best_sampled_init_prefers_lowest_loss_candidate(self):
+    def test_best_sampled_init_prefers_lowest_loss_candidate(self, monkeypatch):
         # with zero refinement steps... max_steps >= 1, so use a tiny budget
         # and zero learning rate: the result equals the best-sampled start
         eps = datagen.make_synthetic_real(PhysParams(2.0, 100.0, 5.0),
@@ -135,23 +139,57 @@ class TestRefine:
         cands = datagen.sample_params(10, BOUNDS, seed=3)
         target = cands[4].as_array()
 
-        class Stub:
-            bounds = BOUNDS
-
-        def stub_loss(model, fpd, state_sa, next_raw):
+        def stub_loss(fpd):
             d = (np.asarray(fpd) - target) / (BOUNDS.highs() - BOUNDS.lows())
             return float(d @ d), np.zeros(3)
 
-        real = surrogate.param_loss_and_grad
-        surrogate.param_loss_and_grad = stub_loss
-        try:
-            got, _ = refine_params(
-                Stub(), eps,
-                RefineConfig(learning_rate=1e-12, max_steps=1, bounds=BOUNDS),
-                candidates=cands)
-        finally:
-            surrogate.param_loss_and_grad = real
+        stub_objective(monkeypatch, stub_loss)
+        got, _ = refine_params(
+            None, eps,
+            RefineConfig(learning_rate=1e-12, max_steps=1, bounds=BOUNDS),
+            candidates=cands)
         np.testing.assert_allclose(got.as_array(), target, atol=1e-6)
+
+    @pytest.mark.parametrize("init", ["best-sampled", "bounds-midpoint"])
+    def test_matches_adam_on_the_backprop_loss(self, init):
+        # refinement gives, bit for bit, the params and loss curve of
+        # projected Adam on surrogate.backprop's loss over build_input's rows
+        eps = datagen.make_synthetic_real(PhysParams(4.0, 200.0, 10.0),
+                                          3, 20, CFG, seed=2)
+        cands = datagen.sample_params(6, BOUNDS, seed=4)
+        rows = datagen.generate_transition_arrays(eps, cands, CFG)
+        model = surrogate.init(surrogate.default_layer_dims(CFG.n_joints, 16), 3,
+                               norm_stats=datagen.compute_norm_stats(rows),
+                               bounds=BOUNDS)
+        q, qd, acts, nq, nqd = datagen.episode_arrays(eps)
+        state_sa, next_raw = np.hstack([q, qd, acts]), np.hstack([nq, nqd])
+        n = CFG.n_joints
+        m_nx = model.norm_stats.mean[3 + 3 * n:]
+        s_nx = model.norm_stats.std[3 + 3 * n:]
+        Y = (next_raw - m_nx) / s_nx - (state_sa[:, :2 * n] - m_nx) / s_nx
+
+        def backprop_loss(fpd):
+            fpd_rows = np.broadcast_to(fpd, (len(state_sa), 3))
+            X = surrogate.build_input(model, fpd_rows, state_sa)
+            loss, _, _, dX = surrogate.backprop(model, X, Y)
+            return loss, dX[:, :3].sum(axis=0)
+
+        cfg = RefineConfig(learning_rate=0.01, max_steps=60, init=init,
+                           convergence_tol=0.0, bounds=BOUNDS)
+        if init == "best-sampled":
+            losses = [backprop_loss(c.as_array())[0] for c in cands]
+            start = cands[int(np.argmin(losses))].as_array()
+        else:
+            start = (BOUNDS.lows() + BOUNDS.highs()) / 2.0
+        best_u, curve = minimize_projected_adam(
+            lambda u: backprop_loss(BOUNDS.from_unit(u)), BOUNDS.to_unit(start),
+            cfg.learning_rate, cfg.max_steps, cfg.convergence_tol,
+            cfg.convergence_window)
+        got, got_curve = refine_params(model, eps, cfg, cands)
+        np.testing.assert_array_equal(got.as_array(),
+                                      BOUNDS.clip(BOUNDS.from_unit(best_u)))
+        assert got_curve == curve
+        assert len(curve) == 60 and curve[-1] < curve[0]
 
     def test_rejects_empty_episodes(self):
         with pytest.raises(ValueError):

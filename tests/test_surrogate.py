@@ -11,9 +11,10 @@ from armcal.datagen import (NormStats, compute_norm_stats,
 from armcal.plant import ParamBounds, PhysParams, PlantConfig
 from armcal.surrogate import (ADAM_EPS, MlpCheckpoint, TrainConfig,
                               TrainingDiverged, adam_step, backprop,
-                              build_input, default_layer_dims,
-                              forward_normalized, init,
-                              param_loss_and_grad, train)
+                              backward_from_delta, build_input,
+                              default_layer_dims, forward_normalized, init,
+                              make_param_objective, param_loss_and_grad,
+                              train, workspace)
 
 BOUNDS = ParamBounds()
 N = 2  # joints used throughout
@@ -192,6 +193,90 @@ class TestGradients:
             return param_loss_and_grad(model, fpd, state_sa, next_raw)[0]
 
         fd = central_fd(loss_at_u, u, eps=1e-7)
+        for k in range(3):
+            denom = max(abs(fd[k]), abs(g[k]), 1e-8)
+            assert abs(g[k] - fd[k]) / denom <= 1e-4
+
+
+class TestWorkspacePasses:
+    """The passes give the same bits into a workspace as into fresh arrays,
+    and the parameter objective keeps no state between calls."""
+
+    @pytest.mark.parametrize("dims, rows, ws_rows", [
+        ((9, 16, 16, 4), 7, 7),
+        ((9, 16, 16, 4), 5, 12),  # a partial batch in a larger workspace
+        ((12, 32, 8, 6), 33, 40),
+        ((5, 8, 24, 16, 3), 1, 4),
+    ])
+    def test_bit_identical_to_fresh_arrays(self, dims, rows, ws_rows):
+        rng = np.random.default_rng(sum(dims) + rows)
+        model = init(dims, 1)
+        for b in model.biases:
+            b[:] = rng.normal(size=b.shape)
+        X = rng.normal(size=(rows, dims[0]))
+        delta_out = rng.normal(size=(rows, dims[-1]))
+        out, acts = forward_normalized(model, X, keep_cache=True)
+        dWs, dbs, dX = backward_from_delta(model, acts, delta_out)
+        ws = workspace(dims, ws_rows)
+        for _ in range(2):  # a used workspace gives the same bits again
+            ws_out, ws_acts = forward_normalized(model, X, keep_cache=True, ws=ws)
+            assert np.array_equal(ws_out, out)
+            assert all(np.array_equal(a, b) for a, b in zip(ws_acts, acts))
+            ws_dWs, ws_dbs, ws_dX = backward_from_delta(model, ws_acts, delta_out,
+                                                        ws=ws)
+            assert np.array_equal(ws_dX, dX)
+            assert all(np.array_equal(a, b) for a, b in zip(ws_dWs, dWs))
+            assert all(np.array_equal(a, b) for a, b in zip(ws_dbs, dbs))
+        assert np.array_equal(forward_normalized(model, X, ws=ws), out)
+        # the caller's output delta is left as it was
+        assert np.array_equal(
+            backward_from_delta(model, acts, delta_out)[2], dX)
+
+    @pytest.mark.parametrize("use_ws", [False, True])
+    def test_input_gradient_only(self, use_ws):
+        rng = np.random.default_rng(4)
+        model = random_model(5)
+        X = rng.normal(size=(6, 9))
+        delta_out = rng.normal(size=(6, 4))
+        ws = workspace(model.layer_dims, 6) if use_ws else None
+        _, acts = forward_normalized(model, X, keep_cache=True, ws=ws)
+        _, _, dX = backward_from_delta(model, acts, delta_out)
+        dWs, dbs, dX_only = backward_from_delta(model, acts, delta_out,
+                                                weight_grads=False, ws=ws)
+        assert dWs is None and dbs is None
+        assert np.array_equal(dX_only, dX)
+
+    def objective_case(self):
+        rng = np.random.default_rng(16)
+        stats = NormStats(rng.normal(size=13), rng.random(13) + 0.5)
+        model = random_model(17, hidden=8, stats=stats)
+        return (model, rng.normal(size=(20, 3 * N)),
+                rng.normal(size=(20, 2 * N)))
+
+    def test_objective_keeps_no_state_between_calls(self):
+        model, state_sa, next_raw = self.objective_case()
+        objective = make_param_objective(model, state_sa, next_raw)
+        a, b = np.array([3.0, 150.0, 12.0]), np.array([8.0, 40.0, 1.0])
+        loss_a, grad_a = objective(a)
+        loss_b, grad_b = objective(b)
+        assert loss_b != loss_a
+        loss_a2, grad_a2 = objective(a)
+        assert loss_a2 == loss_a
+        assert np.array_equal(grad_a2, grad_a)
+        assert objective(a, grad=False) == loss_a
+        assert objective(b, grad=False) == loss_b
+        # a fresh closure and the one-call wrapper agree bit for bit
+        loss_w, grad_w = param_loss_and_grad(model, b, state_sa, next_raw)
+        assert loss_w == loss_b and np.array_equal(grad_w, grad_b)
+
+    def test_objective_gradient_matches_fd(self):
+        model, state_sa, next_raw = self.objective_case()
+        objective = make_param_objective(model, state_sa, next_raw)
+        fpd = np.array([3.0, 150.0, 12.0])
+        _, g = objective(fpd)
+        u = BOUNDS.to_unit(fpd)
+        fd = central_fd(lambda: objective(BOUNDS.from_unit(u), grad=False), u,
+                        eps=1e-7)
         for k in range(3):
             denom = max(abs(fd[k]), abs(g[k]), 1e-8)
             assert abs(g[k] - fd[k]) / denom <= 1e-4
