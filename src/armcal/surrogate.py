@@ -10,9 +10,11 @@ ParamBounds.to_unit; state and action dimensions are z-scored with the dataset
 normalization statistics. The output is produced in z-scored next-state
 space, where every loss is measured. All gradients (weights and inputs) are
 exact backpropagation, checked against central finite differences in tests.
-Refinement's objective (make_param_objective) normalizes its rows once and,
-on every call, runs the same passes into one reused workspace, skipping the
-weight gradients it does not use.
+Every loop that makes many passes runs them into one reused workspace:
+training writes each minibatch's activations, deltas and weight gradients
+into the same arrays, and refinement's objective (make_param_objective)
+normalizes its rows once and, on every call, skips the weight gradients it
+does not use.
 """
 
 from dataclasses import dataclass, field
@@ -128,12 +130,17 @@ class Workspace:
     acts: list  # output of layer i, (rows, layer_dims[i + 1])
     deltas: list  # d(loss)/d(input of layer i), (rows, layer_dims[i])
     slope: np.ndarray  # flat scratch for the tanh slope 1 - a^2
+    dWs: list  # weight gradient of layer i, (layer_dims[i + 1], layer_dims[i])
+    dbs: list  # bias gradient of layer i, (layer_dims[i + 1],)
 
 
 def workspace(layer_dims, rows) -> Workspace:
     return Workspace([np.empty((rows, d)) for d in layer_dims[1:]],
                      [np.empty((rows, d)) for d in layer_dims[:-1]],
-                     np.empty(rows * max(layer_dims[1:-1], default=0)))
+                     np.empty(rows * max(layer_dims[1:-1], default=0)),
+                     [np.empty((o, i))
+                      for i, o in zip(layer_dims[:-1], layer_dims[1:])],
+                     [np.empty(o) for o in layer_dims[1:]])
 
 
 def forward_normalized(model, X, keep_cache=False, ws=None):
@@ -159,7 +166,8 @@ def backward_from_delta(model, acts, delta, weight_grads=True, ws=None):
     """Backward pass given d(loss)/d(output) rows; returns (dWs, dbs, dX).
 
     With weight_grads=False only dX is computed, and dWs and dbs are None.
-    With a workspace, dX is a view into it, valid until its next use.
+    With a workspace, dX and the weight gradients are views into it, valid
+    until its next use.
     """
     n_layers = len(model.weights)
     dWs = [None] * n_layers if weight_grads else None
@@ -167,8 +175,10 @@ def backward_from_delta(model, acts, delta, weight_grads=True, ws=None):
     B = len(delta)
     for i in range(n_layers - 1, -1, -1):
         if weight_grads:
-            dWs[i] = delta.T @ acts[i]
-            dbs[i] = delta.sum(axis=0)
+            dWs[i] = np.matmul(delta.T, acts[i],
+                               out=None if ws is None else ws.dWs[i])
+            dbs[i] = np.sum(delta, axis=0,
+                            out=None if ws is None else ws.dbs[i])
         delta = np.matmul(delta, model.weights[i],
                           out=None if ws is None else ws.deltas[i][:B])
         if i > 0:  # chain through the tanh of the previous hidden layer
@@ -180,13 +190,16 @@ def backward_from_delta(model, acts, delta, weight_grads=True, ws=None):
     return dWs, dbs, delta
 
 
-def backprop(model, X, Y):
-    """Mean-over-rows squared-error loss; returns (loss, dWs, dbs, dX)."""
-    out, acts = forward_normalized(model, X, keep_cache=True)
+def backprop(model, X, Y, ws=None):
+    """Mean-over-rows squared-error loss; returns (loss, dWs, dbs, dX).
+
+    With a workspace, the gradients are views into it, valid until its next
+    use."""
+    out, acts = forward_normalized(model, X, keep_cache=True, ws=ws)
     B = out.shape[0]
     diff = out - np.atleast_2d(Y)
     loss = float(np.mean(np.sum(diff * diff, axis=1)))
-    dWs, dbs, dX = backward_from_delta(model, acts, 2.0 * diff / B)
+    dWs, dbs, dX = backward_from_delta(model, acts, 2.0 * diff / B, ws=ws)
     return loss, dWs, dbs, dX
 
 
@@ -201,8 +214,10 @@ def adam_step(params, grads, m, v, t, lr):
     corr1 = 1.0 - ADAM_BETA1 ** t
     corr2 = 1.0 - ADAM_BETA2 ** t
     for i, g in enumerate(grads):
-        m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
-        v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g ** 2
+        m[i] *= ADAM_BETA1
+        m[i] += (1 - ADAM_BETA1) * g
+        v[i] *= ADAM_BETA2
+        v[i] += (1 - ADAM_BETA2) * g ** 2
         params[i] -= lr * (m[i] / corr1) / (np.sqrt(v[i] / corr2) + ADAM_EPS)
 
 
@@ -224,6 +239,7 @@ def train(model: MlpCheckpoint, data, cfg: TrainConfig) -> MlpCheckpoint:
     arrays = model.weights + model.biases
     m = [np.zeros_like(a) for a in arrays]
     v = [np.zeros_like(a) for a in arrays]
+    ws = workspace(model.layer_dims, min(cfg.batch_size, len(X)))
     t = 0
     history = []
     stop_reason = "max_epochs"
@@ -237,7 +253,7 @@ def train(model: MlpCheckpoint, data, cfg: TrainConfig) -> MlpCheckpoint:
             # a diverging run overflows before its loss turns non-finite;
             # the isfinite check below reports it
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, dWs, dbs, _ = backprop(model, X[idx], Y[idx])
+                loss, dWs, dbs, _ = backprop(model, X[idx], Y[idx], ws=ws)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, loss)
             losses += loss * len(idx)

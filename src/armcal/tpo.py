@@ -17,12 +17,14 @@ one policy forward over all B states and one batch-B plant step per time
 step, each drawing its exploration noise from its own generator.
 `_pair_order` ranks the rewards into trajectory numbers, and the observation
 rows of those 2m trajectories are stacked once per cycle with their reference
-log-probabilities, so each epoch is one forward and one backward pass. A GEMM
-over many rows can round differently from single-row products in the last
-bit; reruns with the same seed are byte-identical. `RankedTrajectory` and
-`PreferencePair` are the object API for single trajectories; `traj_log_prob`
-and `tpo_delta` keep the per-trajectory definitions the batched loss is
-tested against.
+log-probabilities, so each epoch is one forward and one backward pass. Both
+write into one `surrogate.Workspace` per cycle, which holds the activations,
+the deltas and the weight gradients Adam reads, so no epoch allocates them
+afresh. A GEMM over many rows can round differently from single-row products
+in the last bit; reruns with the same seed are byte-identical.
+`RankedTrajectory` and `PreferencePair` are the object API for single
+trajectories; `traj_log_prob` and `tpo_delta` keep the per-trajectory
+definitions the batched loss is tested against.
 """
 
 from dataclasses import dataclass
@@ -168,9 +170,20 @@ def tpo_delta(policy: PolicyNet, reference: PolicyNet, pair: PreferencePair) -> 
     return lw - ll
 
 
+def _by_sign(x, nonneg, neg):
+    """nonneg(x) where x >= 0 and neg(x) elsewhere, each evaluated only on
+    the elements it selects, so neither overflows on the other's range."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    sel = x >= 0
+    out[sel] = nonneg(x[sel])
+    out[~sel] = neg(x[~sel])
+    return out
+
+
 def _sigmoid(x):
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)),
-                    np.exp(x) / (1.0 + np.exp(x)))
+    return _by_sign(x, lambda x: 1.0 / (1.0 + np.exp(-x)),
+                    lambda x: np.exp(x) / (1.0 + np.exp(x)))
 
 
 @dataclass(frozen=True)
@@ -183,10 +196,12 @@ class _PairRows:
     ref_log_prob: np.ndarray  # (2P,) under the frozen reference
 
 
-def _log_probs(policy, obs, executed, traj, n_traj):
+def _log_probs(policy, obs, executed, traj, n_traj, ws=None):
     """Per-trajectory log-probabilities over stacked rows; also the rows'
-    mean-minus-executed residuals and the forward pass's activations."""
-    means, acts = surrogate.forward_normalized(policy, obs, keep_cache=True)
+    mean-minus-executed residuals and the forward pass's activations (views
+    into ws, if given)."""
+    means, acts = surrogate.forward_normalized(policy, obs, keep_cache=True,
+                                               ws=ws)
     if means.shape != executed.shape:
         raise ValueError("action dimension mismatch")
     diff = means - executed
@@ -195,9 +210,11 @@ def _log_probs(policy, obs, executed, traj, n_traj):
     return log_prob, diff, acts
 
 
-def _pair_rows(reference: PolicyNet, obs_blocks, executed_blocks) -> _PairRows:
+def _pair_rows(reference: PolicyNet, obs_blocks, executed_blocks,
+               ws=None) -> _PairRows:
     """Stack per-trajectory (T_i, 2N + 2) observation and (T_i, N) executed
-    action blocks, given in the order chosen_0, rejected_0, chosen_1, ..."""
+    action blocks, given in the order chosen_0, rejected_0, chosen_1, ...;
+    the reference pass runs in ws, if given."""
     if not obs_blocks:
         raise ValueError("no preference pairs")
     lengths = [len(a) for a in executed_blocks]
@@ -206,27 +223,31 @@ def _pair_rows(reference: PolicyNet, obs_blocks, executed_blocks) -> _PairRows:
     obs = np.vstack(obs_blocks)
     executed = np.vstack(executed_blocks)
     traj = np.repeat(np.arange(len(lengths)), lengths)
-    ref_log_prob, _, _ = _log_probs(reference, obs, executed, traj, len(lengths))
+    ref_log_prob, _, _ = _log_probs(reference, obs, executed, traj,
+                                    len(lengths), ws)
     return _PairRows(obs, executed, traj, ref_log_prob)
 
 
-def _pair_loss(policy: PolicyNet, rows: _PairRows, beta):
-    """The preference loss and its weight gradients over cached pair rows."""
+def _pair_loss(policy: PolicyNet, rows: _PairRows, beta, ws=None):
+    """The preference loss and its weight gradients over cached pair rows.
+
+    With a workspace, the passes run in it and the gradients are views into
+    it, valid until its next use."""
     n_traj = len(rows.ref_log_prob)
     log_prob, diff, acts = _log_probs(policy, rows.obs, rows.executed,
-                                      rows.traj, n_traj)
+                                      rows.traj, n_traj, ws)
     adv = log_prob - rows.ref_log_prob
     z = beta * (adv[0::2] - adv[1::2])
     # -log sigmoid(z), numerically stable
-    loss = float(np.mean(np.where(z >= 0, np.log1p(np.exp(-z)),
-                                  -z + np.log1p(np.exp(z)))))
+    loss = float(np.mean(_by_sign(z, lambda z: np.log1p(np.exp(-z)),
+                                  lambda z: -z + np.log1p(np.exp(z)))))
     # d loss / d delta_j = -beta * sigmoid(-z_j) / P; delta_j enters with +1
     # through the chosen and -1 through the rejected trajectory
     coeff = -beta * _sigmoid(-z) / len(z)
     signed = np.stack([coeff, -coeff], axis=1).ravel()[rows.traj]
     # d logprob / d mean = -(mean - executed)
     dWs, dbs, _ = surrogate.backward_from_delta(policy, acts,
-                                                -(signed[:, None] * diff))
+                                                -(signed[:, None] * diff), ws=ws)
     return loss, dWs, dbs
 
 
@@ -289,16 +310,18 @@ def tpo_cycle(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
     obs = np.concatenate([qs[:-1], qds[:-1], np.broadcast_to(
         goal, (*executed.shape[:2], len(goal)))], axis=2)  # (T, B, 2N + 2)
     idx = _pair_order(rewards, cfg.m)
+    # every pass over the pair rows, the reference's included, runs in ws
+    ws = surrogate.workspace(policy.layer_dims, len(idx) * cfg.rollout_horizon)
     # the policy before its first update is the frozen reference
     rows = _pair_rows(policy, [obs[:, i] for i in idx],
-                      [executed[:, i] for i in idx])
+                      [executed[:, i] for i in idx], ws)
 
     arrays = policy.weights + policy.biases
     m = [np.zeros_like(a) for a in arrays]
     v = [np.zeros_like(a) for a in arrays]
     losses = []
     for t in range(1, cfg.epochs_per_cycle + 1):
-        loss, dWs, dbs = _pair_loss(policy, rows, cfg.beta)
+        loss, dWs, dbs = _pair_loss(policy, rows, cfg.beta, ws)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite preference loss in cycle {cycle_index}")
         losses.append(loss)

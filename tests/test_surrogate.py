@@ -227,6 +227,9 @@ class TestWorkspacePasses:
             assert np.array_equal(ws_dX, dX)
             assert all(np.array_equal(a, b) for a, b in zip(ws_dWs, dWs))
             assert all(np.array_equal(a, b) for a, b in zip(ws_dbs, dbs))
+            # the weight gradients are written into the workspace
+            assert all(np.shares_memory(g, w) for g, w in zip(ws_dWs, ws.dWs))
+            assert all(np.shares_memory(g, w) for g, w in zip(ws_dbs, ws.dbs))
         assert np.array_equal(forward_normalized(model, X, ws=ws), out)
         # the caller's output delta is left as it was
         assert np.array_equal(
@@ -331,6 +334,68 @@ class TestTraining:
         assert model.training_meta["stop_reason"] == "early_stop_loss"
         assert model.training_meta["final_loss"] <= 1e-6
 
+    def test_workspace_matches_fresh_array_oracle(self):
+        # 200 rows in batches of 64 end on a short batch of 8, which runs in
+        # the leading rows of the workspace
+        data = self.small_dataset()
+        assert len(data) == 200
+        stats = compute_norm_stats(data)
+        cfg = TrainConfig(batch_size=64, max_epochs=4, seed=3)
+        model = init(default_layer_dims(N, hidden=8), 4, norm_stats=stats,
+                     bounds=BOUNDS)
+        oracle = init(default_layer_dims(N, hidden=8), 4, norm_stats=stats,
+                      bounds=BOUNDS)
+        model = train(model, data, cfg)
+
+        X = build_input(oracle, data[:, :3], data[:, 3:9])
+        Y = ((data[:, 9:] - stats.mean[9:]) / stats.std[9:]
+             - (data[:, 3:7] - stats.mean[9:]) / stats.std[9:])
+        rng = np.random.default_rng(cfg.seed)
+        arrays = oracle.weights + oracle.biases
+        m = [np.zeros_like(a) for a in arrays]
+        v = [np.zeros_like(a) for a in arrays]
+        t, history = 0, []
+        for epoch in range(cfg.max_epochs):
+            order = rng.permutation(len(X))
+            losses = 0.0
+            for start in range(0, len(X), cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                loss, dWs, dbs, _ = backprop(oracle, X[idx], Y[idx])
+                losses += loss * len(idx)
+                t += 1
+                adam_step(arrays, dWs + dbs, m, v, t,
+                          cfg.learning_rate * surrogate.LR_DECAY ** epoch)
+            history.append(losses / len(X))
+        assert model.training_meta["loss_history"] == history
+        for a, b in zip(model.weights + model.biases, arrays):
+            assert np.array_equal(a, b)
+
+    def test_train_builds_one_workspace_per_call(self, monkeypatch):
+        # a regression to fresh arrays on every minibatch changes these
+        # counts: one workspace per call, sized to a full batch, and every
+        # pass runs in it
+        built, passes = [], []
+        make, run = surrogate.workspace, surrogate.backprop
+
+        def counting_workspace(layer_dims, rows):
+            built.append(rows)
+            return make(layer_dims, rows)
+
+        def recording_backprop(model, X, Y, ws=None):
+            passes.append(ws)
+            return run(model, X, Y, ws=ws)
+
+        monkeypatch.setattr(surrogate, "workspace", counting_workspace)
+        monkeypatch.setattr(surrogate, "backprop", recording_backprop)
+        data = self.small_dataset()
+        for batch_size in (64, 1000):
+            model = init(default_layer_dims(N, hidden=8), 0,
+                         norm_stats=compute_norm_stats(data), bounds=BOUNDS)
+            train(model, data, TrainConfig(max_epochs=2, batch_size=batch_size))
+        assert built == [64, 200]
+        assert len(passes) == 2 * 4 + 2 * 1
+        assert all(ws is not None for ws in passes)
+
     def test_divergence_raises(self):
         data = self.small_dataset()
         stats = compute_norm_stats(data)
@@ -371,8 +436,10 @@ class TestAdamStep:
         before = [id(w) for w in ws]
         m = [np.zeros_like(w) for w in ws]
         v = [np.zeros_like(w) for w in ws]
+        moments = [id(a) for a in m + v]
         adam_step(list(ws), [np.ones((2, 2)), -np.ones(2)], m, v, 1, 0.1)
         assert [id(w) for w in ws] == before
+        assert [id(a) for a in m + v] == moments
         assert np.all(ws[0] < 0) and np.all(ws[1] > 0)
 
 

@@ -3,6 +3,7 @@ closed-form loss identities, ranking semantics, and finite-difference policy
 gradients."""
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from armcal import plant, surrogate, tpo
 from armcal.plant import (Action, JointState, PhysParams, PlantConfig,
                           Trajectory, fk)
 from armcal.tpo import (CycleReport, PolicyNet, PreferencePair,
-                        RankedTrajectory, TpoConfig, _pair_order,
-                        _rollout_arrays, _spawn_rngs, init_policy,
-                        policy_means, rank_and_pair, rollout_policy,
-                        run_tpo, tpo_cycle, tpo_delta, tpo_loss,
-                        traj_log_prob)
+                        RankedTrajectory, TpoConfig, _obs_rows, _pair_loss,
+                        _pair_order, _pair_rows, _rollout_arrays, _sigmoid,
+                        _spawn_rngs, init_policy, policy_means, rank_and_pair,
+                        rollout_policy, run_tpo, tpo_cycle, tpo_delta,
+                        tpo_loss, traj_log_prob)
 
 CFG = PlantConfig()
 PARAMS = PhysParams(2.0, 100.0, 5.0)
@@ -150,6 +151,46 @@ class TestLossIdentities:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
             tpo_loss(self.pol, self.ref, [], beta=0.1)
+
+
+def _rows_and_policies(seed=37):
+    """Cached pair rows of a reference policy and a different policy."""
+    ref = init_policy(2, hidden=(8, 8), seed=seed)
+    pol = init_policy(2, hidden=(8, 8), seed=seed + 1)
+    trajs = [make_traj(ref, seed=s, horizon=5) for s in range(10)]
+    pairs = rank_and_pair(trajs, 4)
+    rts = [rt for pr in pairs for rt in (pr.chosen, pr.rejected)]
+    rows = _pair_rows(ref, [_obs_rows(rt.trajectory.states, rt.goal, 5)
+                            for rt in rts],
+                      [rt.executed_actions for rt in rts])
+    return pol, rows
+
+
+class TestLargeMargins:
+    """The loss and its weight on each pair stay finite, without a warning,
+    however far beta * delta is from zero."""
+
+    def test_sigmoid_saturates_without_warning(self):
+        with warnings.catch_warnings(), \
+                np.errstate(over="raise", invalid="raise", divide="raise"):
+            warnings.simplefilter("error")
+            assert np.array_equal(_sigmoid(np.array([-800.0, 800.0])), [0.0, 1.0])
+
+    def test_sigmoid_keeps_in_range_bits(self):
+        x = np.linspace(-30.0, 30.0, 121)
+        want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)),
+                        np.exp(x) / (1.0 + np.exp(x)))
+        assert np.array_equal(_sigmoid(x), want)
+
+    def test_pair_loss_finite_at_large_beta(self):
+        pol, rows = _rows_and_policies()
+        with warnings.catch_warnings(), \
+                np.errstate(over="raise", invalid="raise", divide="raise"):
+            warnings.simplefilter("error")
+            loss, dWs, dbs = _pair_loss(pol, rows, beta=1e4)
+        assert np.isfinite(loss) and loss > 0
+        assert all(np.all(np.isfinite(g)) for g in dWs + dbs)
+        assert any(np.any(g != 0) for g in dWs)
 
 
 class TestRanking:
@@ -340,6 +381,32 @@ class TestBatchedPaths:
             np.testing.assert_allclose(got, exp, rtol=1e-10, atol=1e-15)
 
 
+class TestPairLossWorkspace:
+    def test_workspace_epochs_bit_identical(self):
+        # five Adam epochs with the passes and gradients in one workspace
+        # reach the same bits as five with fresh arrays
+        pol, rows = _rows_and_policies()
+        runs = []
+        for ws in (None, surrogate.workspace(pol.layer_dims, len(rows.obs))):
+            policy = copy.deepcopy(pol)
+            arrays = policy.weights + policy.biases
+            m = [np.zeros_like(a) for a in arrays]
+            v = [np.zeros_like(a) for a in arrays]
+            losses = []
+            for t in range(1, 6):
+                loss, dWs, dbs = _pair_loss(policy, rows, 0.5, ws)
+                if ws is not None:
+                    assert all(np.shares_memory(g, w)
+                               for g, w in zip(dWs + dbs, ws.dWs + ws.dbs))
+                losses.append(loss)
+                surrogate.adam_step(arrays, dWs + dbs, m, v, t, 1e-2)
+            runs.append((losses, arrays))
+        (fresh_losses, fresh), (ws_losses, reused) = runs
+        assert ws_losses == fresh_losses
+        assert len(set(fresh_losses)) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(fresh, reused))
+
+
 def _objects_from_arrays(qs, qds, executed, rewards):
     """RankedTrajectory objects holding the rollouts of lockstep arrays."""
     out = []
@@ -419,9 +486,10 @@ class TestCallCounts:
         # a regression to one-rollout-at-a-time stepping, to a per-epoch
         # reference pass or to per-step objects anywhere in the cycle changes
         # these counts or raises
-        calls = {"step_batch": 0, "fk_poses": 0, "forward_rows": []}
+        calls = {"step_batch": 0, "fk_poses": 0, "forward_rows": [],
+                 "forward_ws": [], "workspace_rows": []}
         step_batch, forward = plant.step_batch, surrogate.forward_normalized
-        fk_poses = plant.fk_poses
+        fk_poses, make_workspace = plant.fk_poses, surrogate.workspace
 
         def counting_step_batch(*args, **kwargs):
             calls["step_batch"] += 1
@@ -433,7 +501,12 @@ class TestCallCounts:
 
         def counting_forward(model, X, *args, **kwargs):
             calls["forward_rows"].append(len(X))
+            calls["forward_ws"].append(kwargs.get("ws"))
             return forward(model, X, *args, **kwargs)
+
+        def counting_workspace(layer_dims, rows):
+            calls["workspace_rows"].append(rows)
+            return make_workspace(layer_dims, rows)
 
         def no_fk(*args, **kwargs):
             raise AssertionError("per-step plant.fk called")
@@ -442,6 +515,7 @@ class TestCallCounts:
         monkeypatch.setattr(plant, "fk", no_fk)
         monkeypatch.setattr(plant, "fk_poses", counting_fk_poses)
         monkeypatch.setattr(surrogate, "forward_normalized", counting_forward)
+        monkeypatch.setattr(surrogate, "workspace", counting_workspace)
         for name in ("JointState", "Action", "Trajectory", "RankedTrajectory",
                      "PreferencePair"):
             def no_object(*args, _name=name, **kwargs):
@@ -458,3 +532,9 @@ class TestCallCounts:
         pair_rows = 2 * cfg.m * cfg.rollout_horizon
         assert rows.count(pair_rows) == cfg.epochs_per_cycle + 1
         assert len(rows) == 2 * cfg.rollout_horizon + cfg.epochs_per_cycle + 1
+        # one workspace per cycle, and every pass over the pair rows (the
+        # reference's and each epoch's) runs in it
+        assert calls["workspace_rows"] == [pair_rows]
+        pair_ws = [ws for n, ws in zip(rows, calls["forward_ws"]) if n == pair_rows]
+        assert pair_ws[0] is not None
+        assert all(ws is pair_ws[0] for ws in pair_ws)
