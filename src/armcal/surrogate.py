@@ -13,8 +13,8 @@ exact backpropagation, checked against central finite differences in tests.
 Every loop that makes many passes runs them into one reused workspace:
 training writes each minibatch's activations, deltas and weight gradients
 into the same arrays, and refinement's objective (make_param_objective)
-normalizes its rows once and, on every call, skips the weight gradients it
-does not use.
+normalizes its rows once and neither holds nor computes the weight
+gradients it does not use.
 """
 
 from dataclasses import dataclass, field
@@ -126,7 +126,9 @@ def _z_baseline(model, state_sa):
 class Workspace:
     """Arrays the passes write into, so that a caller making many passes
     over one batch allocates nothing; workspace(layer_dims, rows) makes one
-    for batches of up to `rows` rows."""
+    for batches of up to `rows` rows. With weight_grads=False it holds no
+    weight gradients (dWs and dbs are None), for callers whose backward
+    passes take the same flag."""
     acts: list  # output of layer i, (rows, layer_dims[i + 1])
     deltas: list  # d(loss)/d(input of layer i), (rows, layer_dims[i])
     slope: np.ndarray  # flat scratch for the tanh slope 1 - a^2
@@ -134,13 +136,13 @@ class Workspace:
     dbs: list  # bias gradient of layer i, (layer_dims[i + 1],)
 
 
-def workspace(layer_dims, rows) -> Workspace:
+def workspace(layer_dims, rows, weight_grads=True) -> Workspace:
+    dims = list(zip(layer_dims[:-1], layer_dims[1:]))
     return Workspace([np.empty((rows, d)) for d in layer_dims[1:]],
                      [np.empty((rows, d)) for d in layer_dims[:-1]],
                      np.empty(rows * max(layer_dims[1:-1], default=0)),
-                     [np.empty((o, i))
-                      for i, o in zip(layer_dims[:-1], layer_dims[1:])],
-                     [np.empty(o) for o in layer_dims[1:]])
+                     [np.empty((o, i)) for i, o in dims] if weight_grads else None,
+                     [np.empty(o) for _, o in dims] if weight_grads else None)
 
 
 def forward_normalized(model, X, keep_cache=False, ws=None):
@@ -287,7 +289,8 @@ def make_param_objective(model, state_sa, next_raw):
 
     state_sa: (B, 3N) raw state|action rows. next_raw: (B, 2N) observed next
     states. The normalized state|action columns, the targets and one
-    workspace are built once; a call writes only the parameter columns.
+    workspace without weight gradients are built once; a call writes only
+    the parameter columns.
     Returns objective(fpd_row, grad=True): fpd_row is (3,) raw parameters;
     the loss is the mean squared error in z-scored next-state space, and with
     grad it comes with its gradient in ParamBounds.to_unit coordinates, as
@@ -298,7 +301,7 @@ def make_param_objective(model, state_sa, next_raw):
     X = np.empty((B, model.layer_dims[0]))
     X[:, 3:] = (state_sa - m_sa) / s_sa
     Y = (next_raw - m_nx) / s_nx - _z_baseline(model, state_sa)
-    ws = workspace(model.layer_dims, B)
+    ws = workspace(model.layer_dims, B, weight_grads=False)
 
     def objective(fpd_row, grad=True):
         X[:, :3] = model.bounds.to_unit(np.asarray(fpd_row, dtype=float))

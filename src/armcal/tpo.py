@@ -12,6 +12,12 @@ the rejected one, relative to a frozen pre-update reference policy.
 Trajectory log-probability is the negative half sum of squared differences
 between the policy's mean actions and the actions actually executed.
 
+That sum leaves out the 1/sigma^2 of the Gaussian exploration noise
+(sigma = exploration_std), so the default beta = 1/sigma^2 puts it back:
+beta * delta is then the Gaussian log-likelihood ratio. beta does not follow
+sigma on its own; a run that changes tpo.exploration_std should rescale
+tpo.beta with it.
+
 A cycle works on rollout arrays throughout: B rollouts advance in lockstep,
 one policy forward over all B states and one batch-B plant step per time
 step, each drawing its exploration noise from its own generator.
@@ -67,12 +73,14 @@ class PreferencePair:
 
 @dataclass(frozen=True)
 class TpoConfig:
-    beta: float = 0.1
+    # 1/sigma^2 makes beta * delta the Gaussian log-likelihood ratio at the
+    # default exploration noise; see the module docstring
+    beta: float = 1.0 / PolicyNet.exploration_std ** 2
     m: int = 25
-    epochs_per_cycle: int = 80
+    epochs_per_cycle: int = 40
     cycles: int = 5
     rollouts_per_cycle: int = 100
-    learning_rate: float = 1e-3
+    learning_rate: float = 3e-4
     rollout_horizon: int = 25
     seed: int = 0
 

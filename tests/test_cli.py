@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from armcal import cli, serialize
+from armcal import cli, serialize, tpo
 from armcal.cli import default_config, main
 
 FAST = [
@@ -490,7 +490,11 @@ class TestConfigPlumbing:
     def test_default_config_hash_pinned(self):
         # the CLI keys and their defaults, read off the config classes
         assert serialize.config_hash(default_config()) == \
-            "1ff95dad8c5b72f90f39990757a0afde133f9781864b367b9b07ffad1476a462"
+            "159e84193390137423f27fbe1fa174de635aca385945c45f98157e11b38231ee"
+
+    def test_default_beta_is_inverse_exploration_variance(self):
+        assert default_config()["tpo"]["beta"] == \
+            1 / tpo.PolicyNet.exploration_std ** 2
 
     def test_int_accepted_for_float_key(self, tmp_path):
         assert run(tmp_path, "--set", "plant.obs_noise_std=0", "datagen") == 0

@@ -284,6 +284,30 @@ class TestWorkspacePasses:
             denom = max(abs(fd[k]), abs(g[k]), 1e-8)
             assert abs(g[k] - fd[k]) / denom <= 1e-4
 
+    def test_objective_workspace_holds_no_weight_grads(self, monkeypatch):
+        # the objective's workspace has no weight-gradient buffers, and its
+        # values are the bits of one that has them
+        model, state_sa, next_raw = self.objective_case()
+        fpds = [np.array([3.0, 150.0, 12.0]), np.array([8.0, 40.0, 1.0])]
+        make, built = surrogate.workspace, []
+
+        def recording_workspace(layer_dims, rows, weight_grads=True):
+            built.append(make(layer_dims, rows, weight_grads))
+            return built[-1]
+
+        monkeypatch.setattr(surrogate, "workspace", recording_workspace)
+        objective = make_param_objective(model, state_sa, next_raw)
+        lean = [objective(fpd) for fpd in fpds]
+        assert len(built) == 1
+        assert built[0].dWs is None and built[0].dbs is None
+        monkeypatch.setattr(surrogate, "workspace",
+                            lambda layer_dims, rows, weight_grads=True:
+                            make(layer_dims, rows))
+        objective = make_param_objective(model, state_sa, next_raw)
+        for (loss, grad), fpd in zip(lean, fpds):
+            full_loss, full_grad = objective(fpd)
+            assert loss == full_loss and np.array_equal(grad, full_grad)
+
 
 class TestTraining:
     def small_dataset(self):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from armcal import plant, surrogate, tpo
+from armcal import cli, plant, surrogate, tpo
 from armcal.plant import (Action, JointState, PhysParams, PlantConfig,
                           Trajectory, fk)
 from armcal.tpo import (CycleReport, PolicyNet, PreferencePair,
@@ -70,11 +70,6 @@ class TestLogProb:
         expected = -0.5 * np.sum((means - rt.executed_actions) ** 2)
         assert traj_log_prob(pol, rt) == pytest.approx(expected, abs=1e-12)
         assert traj_log_prob(pol, rt) <= 0.0
-
-
-def synthetic_pair(lp_w_pol, lp_w_ref, lp_l_pol, lp_l_ref, policy, reference):
-    """Build a pair and monkeypatch-free check helper: we instead construct
-    real trajectories and verify identities on the measured deltas."""
 
 
 class TestLossIdentities:
@@ -318,6 +313,24 @@ class TestCycles:
                     {"learning_rate": -1.0}, {"learning_rate": float("nan")}):
             with pytest.raises(ValueError):
                 TpoConfig(**bad)
+
+
+class TestDefaults:
+    def test_beta_is_inverse_exploration_variance(self):
+        assert TpoConfig().beta == 1 / PolicyNet.exploration_std ** 2
+
+    @pytest.mark.parametrize("fpd", [(2.0, 120.0, 7.0), (8.0, 300.0, 20.0)])
+    @pytest.mark.parametrize("seed", [200, 201, 202])
+    def test_improves_at_cli_defaults(self, fpd, seed):
+        # five cycles at the CLI's default tpo settings end with a better
+        # mean reward than the one they start from
+        defaults = cli.default_config()["tpo"]
+        pol = init_policy(CFG.n_joints, seed=seed,
+                          exploration_std=defaults["exploration_std"])
+        _, reports = run_tpo(pol, PhysParams(*fpd), np.array(defaults["goal"]),
+                             TpoConfig(seed=seed), CFG)
+        assert len(reports) == 5
+        assert reports[-1].mean_reward_after > reports[0].mean_reward_before
 
 
 def _loop_loss(policy, reference, pairs, beta):
