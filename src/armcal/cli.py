@@ -447,6 +447,8 @@ def cmd_plot(config, csv_path, svg_path):
             values.append(float(parts[1]))
         except (ValueError, IndexError):
             raise UsageError(f"malformed CSV line {lineno}: {line!r}")
+        if not (math.isfinite(steps[-1]) and math.isfinite(values[-1])):
+            raise UsageError(f"non-finite number in CSV line {lineno}: {line!r}")
     if not steps:
         raise UsageError("CSV has no data rows")
     svg = serialize.curve_to_svg(steps, values, title=path.name)

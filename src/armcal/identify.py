@@ -26,7 +26,6 @@ from .plant import (ParamBounds, PhysParams, PlantConfig, fk_positions,
 class RefineConfig:
     learning_rate: float = 0.001
     max_steps: int = 500
-    init: str = "best-sampled"  # or "bounds-midpoint"
     convergence_tol: float = 1e-8
     convergence_window: int = 20
     bounds: ParamBounds = field(default_factory=ParamBounds)
@@ -36,8 +35,6 @@ class RefineConfig:
             raise ValueError("invalid refinement configuration")
         if self.convergence_window < 1:
             raise ValueError("convergence_window must be >= 1")
-        if self.init not in ("best-sampled", "bounds-midpoint"):
-            raise ValueError(f"unknown init mode {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -139,14 +136,15 @@ def refine_params(model, episodes, cfg: RefineConfig, candidates=None):
     coordinates of ParamBounds.to_unit, so Adam steps are comparable across
     coordinates; cfg.bounds must be the bounds the model was trained in.
 
-    candidates: optional parameter sets used by the "best-sampled" init.
+    Starts from the candidate parameter set with the lowest surrogate loss,
+    or from the bounds midpoint when no candidates are given.
     Returns (identified PhysParams, loss curve).
     """
     if not episodes.episodes:
         raise ValueError("no episodes to refine against")
     _, _, state_sa, next_raw = _episode_tensors(episodes)
     objective = surrogate.make_param_objective(model, state_sa, next_raw)
-    if cfg.init == "best-sampled" and candidates:
+    if candidates:
         losses = [objective(c.as_array(), grad=False) for c in candidates]
         start = candidates[int(np.argmin(losses))].as_array()
     else:

@@ -28,8 +28,16 @@ REPORT_HEADER = "method,traj_err,rot_err,trans_err,time_s"
 # block of parsed rows to one array; the bound keeps the text and the Python
 # floats in memory small whatever the row count.
 DATASET_BLOCK_ROWS = 1024
-# f17 writes -0.0 as "-0", which would read back as the integer 0
-_DATASET_DECODER = json.JSONDecoder(parse_int=float)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name}")
+
+
+# f17 writes -0.0 as "-0", which would read back as the integer 0; JSON's
+# parser takes NaN and +-Infinity, which no dataset row may hold
+_DATASET_DECODER = json.JSONDecoder(parse_int=float,
+                                    parse_constant=_reject_constant)
 
 
 def f17(x):
@@ -97,7 +105,7 @@ def read_dataset(path):
                 row = [obj["f"], obj["p"], obj["d"], *obj["state_q"],
                        *obj["state_qd"], *obj["action"], *obj["next_q"],
                        *obj["next_qd"]]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: malformed dataset line {lineno}: {exc}")
             if width is None:
                 width = len(row)

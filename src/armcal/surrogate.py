@@ -42,17 +42,13 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     learning_rate: float = 0.001
     batch_size: int = 256
-    max_epochs: int = 2000
+    max_epochs: int = 800
     early_stop_loss: float = 1e-6
-    plateau_window: int = 100
-    plateau_rel_improvement: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate < 0 or self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("invalid training configuration")
-        if self.plateau_window < 1:
-            raise ValueError("plateau_window must be >= 1")
 
 
 @dataclass
@@ -227,8 +223,10 @@ def train(model: MlpCheckpoint, data, cfg: TrainConfig) -> MlpCheckpoint:
     """Mini-batch Adam on the normalized squared-error loss over the rows of
     the (M, 3 + 5N) transition matrix `data`; model.norm_stats must be set.
 
-    Stops on max_epochs, on epoch loss <= early_stop_loss, or when the
-    windowed-smoothed loss stops improving. Deterministic under cfg.seed.
+    The step size decays by LR_DECAY per epoch, whatever max_epochs is.
+    Stops after max_epochs, or earlier once an epoch's loss is at most
+    early_stop_loss; training_meta["stop_reason"] names the stop.
+    Deterministic under cfg.seed.
     """
     if len(data) < 1:
         raise ValueError("empty training dataset")
@@ -249,7 +247,6 @@ def train(model: MlpCheckpoint, data, cfg: TrainConfig) -> MlpCheckpoint:
         lr = cfg.learning_rate * LR_DECAY ** epoch
         order = rng.permutation(len(X))
         losses = 0.0
-        count = 0
         for start in range(0, len(X), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             # a diverging run overflows before its loss turns non-finite;
@@ -259,21 +256,13 @@ def train(model: MlpCheckpoint, data, cfg: TrainConfig) -> MlpCheckpoint:
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, loss)
             losses += loss * len(idx)
-            count += len(idx)
             t += 1
             adam_step(arrays, dWs + dbs, m, v, t, lr)
-        epoch_loss = losses / count
+        epoch_loss = losses / len(X)
         history.append(epoch_loss)
         if epoch_loss <= cfg.early_stop_loss:
             stop_reason = "early_stop_loss"
             break
-        w = cfg.plateau_window
-        if len(history) >= 2 * w:
-            recent = np.mean(history[-w:])
-            previous = np.mean(history[-2 * w:-w])
-            if recent > previous * (1.0 - cfg.plateau_rel_improvement):
-                stop_reason = "plateau"
-                break
     model.training_meta = {
         "epochs_run": len(history),
         "final_loss": history[-1],

@@ -97,7 +97,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("assignment", [
         "tpo.beta=0",  # TpoConfig: beta must be positive
-        'refine.init="random"',  # RefineConfig: unknown init mode
         "surrogate.batch_size=0",  # TrainConfig
         "anneal.cooling_gamma=1",  # AnnealConfig
         "plant.dt=0",  # PlantConfig
@@ -114,7 +113,6 @@ class TestExitCodes:
         "tpo.learning_rate=-1",
         "tpo.epochs_per_cycle=0",  # TpoConfig: no loss to report
         "tpo.epochs_per_cycle=-1",
-        "surrogate.plateau_window=0",  # TrainConfig: mean of an empty slice
         "refine.convergence_window=0",  # RefineConfig: stops after one step
         "holdout_fraction=1.5",
         "holdout_fraction=1",
@@ -490,7 +488,7 @@ class TestConfigPlumbing:
     def test_default_config_hash_pinned(self):
         # the CLI keys and their defaults, read off the config classes
         assert serialize.config_hash(default_config()) == \
-            "159e84193390137423f27fbe1fa174de635aca385945c45f98157e11b38231ee"
+            "0db8c94a6b3928680907fe54db3e1dbf19757a5e594df132fba5cddba679c3f3"
 
     def test_default_beta_is_inverse_exploration_variance(self):
         assert default_config()["tpo"]["beta"] == \
@@ -510,6 +508,13 @@ class TestPlot:
         csv = tmp_path / "c.csv"
         csv.write_text("step,value\n0,1.0\nbroken\n")
         assert run(tmp_path, "plot", str(csv)) == 2
+
+    @pytest.mark.parametrize("row", ["1,nan", "1,inf", "1,-inf", "nan,1"])
+    def test_non_finite_number_rejected(self, tmp_path, row):
+        csv = tmp_path / "c.csv"
+        csv.write_text(f"step,value\n0,1.0\n{row}\n")
+        assert run(tmp_path, "plot", str(csv)) == 2
+        assert not (tmp_path / "c.svg").exists()
 
     def test_explicit_svg_path(self, tmp_path):
         csv = tmp_path / "c.csv"

@@ -125,8 +125,7 @@ class TestRefine:
         got, curve = refine_params(
             None, eps,
             RefineConfig(learning_rate=0.01, max_steps=3000,
-                         init="bounds-midpoint", convergence_tol=1e-14,
-                         bounds=BOUNDS))
+                         convergence_tol=1e-14, bounds=BOUNDS))
         got_u = BOUNDS.to_unit(got.as_array())
         np.testing.assert_allclose(got_u, target_u, atol=1e-3)
         assert curve[-1] < curve[0]
@@ -150,8 +149,9 @@ class TestRefine:
             candidates=cands)
         np.testing.assert_allclose(got.as_array(), target, atol=1e-6)
 
-    @pytest.mark.parametrize("init", ["best-sampled", "bounds-midpoint"])
-    def test_matches_adam_on_the_backprop_loss(self, init):
+    @pytest.mark.parametrize("with_candidates", [True, False],
+                             ids=["best-sampled", "bounds-midpoint"])
+    def test_matches_adam_on_the_backprop_loss(self, with_candidates):
         # refinement gives, bit for bit, the params and loss curve of
         # projected Adam on surrogate.backprop's loss over build_input's rows
         eps = datagen.make_synthetic_real(PhysParams(4.0, 200.0, 10.0),
@@ -174,9 +174,9 @@ class TestRefine:
             loss, _, _, dX = surrogate.backprop(model, X, Y)
             return loss, dX[:, :3].sum(axis=0)
 
-        cfg = RefineConfig(learning_rate=0.01, max_steps=60, init=init,
+        cfg = RefineConfig(learning_rate=0.01, max_steps=60,
                            convergence_tol=0.0, bounds=BOUNDS)
-        if init == "best-sampled":
+        if with_candidates:
             losses = [backprop_loss(c.as_array())[0] for c in cands]
             start = cands[int(np.argmin(losses))].as_array()
         else:
@@ -185,7 +185,8 @@ class TestRefine:
             lambda u: backprop_loss(BOUNDS.from_unit(u)), BOUNDS.to_unit(start),
             cfg.learning_rate, cfg.max_steps, cfg.convergence_tol,
             cfg.convergence_window)
-        got, got_curve = refine_params(model, eps, cfg, cands)
+        got, got_curve = refine_params(model, eps, cfg,
+                                       cands if with_candidates else None)
         np.testing.assert_array_equal(got.as_array(),
                                       BOUNDS.clip(BOUNDS.from_unit(best_u)))
         assert got_curve == curve
@@ -198,8 +199,6 @@ class TestRefine:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RefineConfig(max_steps=0)
-        with pytest.raises(ValueError):
-            RefineConfig(init="random")
 
 
 class TestAnneal:

@@ -62,6 +62,16 @@ class TestDataset:
         with pytest.raises(ValueError, match="line 2"):
             serialize.read_dataset(path)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_rejected(self, tmp_path, token):
+        # JSON's parser would take these tokens as floats
+        path = tmp_path / "bad.jsonl"
+        good = serialize.dataset_line(self.make_rows()[0], CFG.n_joints)
+        bad = good.replace('"state_q":[', f'"state_q":[{token},', 1)
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ValueError, match=f"line 2: non-finite number {token}"):
+            serialize.read_dataset(path)
+
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"f":1.0,"p":2.0}\n')

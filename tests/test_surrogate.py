@@ -358,6 +358,17 @@ class TestTraining:
         assert model.training_meta["stop_reason"] == "early_stop_loss"
         assert model.training_meta["final_loss"] <= 1e-6
 
+    def test_flat_loss_trains_to_its_budget(self):
+        # with a zero step the loss never moves, and nothing but max_epochs
+        # (or early_stop_loss, not reached here) ends training
+        data = self.small_dataset()
+        model = init(default_layer_dims(N, hidden=8), 0,
+                     norm_stats=compute_norm_stats(data), bounds=BOUNDS)
+        model = train(model, data, TrainConfig(learning_rate=0.0,
+                                               max_epochs=250, seed=0))
+        assert model.training_meta["epochs_run"] == 250
+        assert model.training_meta["stop_reason"] == "max_epochs"
+
     def test_workspace_matches_fresh_array_oracle(self):
         # 200 rows in batches of 64 end on a short batch of 8, which runs in
         # the leading rows of the workspace
