@@ -29,8 +29,8 @@ class UsageError(Exception):
     pass
 
 
-# grad: Levenberg-Marquardt on the differentiable plant; surrogate: MLP fit
-# then refinement through it; sa: annealing baseline; both: sa then grad
+# grad: Levenberg-Marquardt on the differentiable plant; surrogate: the same
+# through a trained checkpoint; sa: annealing baseline; both: sa then grad
 IDENTIFY_METHODS = ("grad", "surrogate", "sa", "both")
 
 
@@ -377,8 +377,12 @@ def cmd_identify(config, stages, episodes_path, checkpoint_path, method):
                                eval_eps, plant_cfg, truth))
     if method == "surrogate":
         t0 = time.perf_counter()
-        model = serialize.checkpoint_from_json(serialize.load_json(_input_file(
-            checkpoint_path or out / "checkpoint.json", "checkpoint")))
+        doc = serialize.load_json(_input_file(
+            checkpoint_path or out / "checkpoint.json", "checkpoint"))
+        try:
+            model = serialize.checkpoint_from_json(doc)
+        except ValueError as exc:
+            raise UsageError(f"invalid checkpoint: {exc}")
         n = plant_cfg.n_joints
         if model.layer_dims[0] != 3 + 3 * n or model.layer_dims[-1] != 2 * n:
             raise UsageError("checkpoint layout does not match configured n_joints")

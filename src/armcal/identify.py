@@ -1,15 +1,16 @@
-"""Parameter identification: Levenberg-Marquardt on the differentiable plant,
-gradient refinement through a frozen MLP surrogate, a Metropolis
-simulated-annealing baseline over true-simulator replays, and open-loop
-evaluation.
+"""Parameter identification: Levenberg-Marquardt on the differentiable plant
+and through a frozen MLP surrogate, a Metropolis simulated-annealing baseline
+over true-simulator replays, and open-loop evaluation.
 
+Both differentiable routes fit (f, p, d) with one damped Gauss-Newton loop
+(_levenberg_marquardt) in the bound-scaled coordinates of ParamBounds.to_unit.
 The plant route ("grad") differentiates the simulator itself: forward-mode
 sensitivities of the teacher-forced one-step predictions give the exact
-Jacobian of the residuals, so damped Gauss-Newton needs a few dozen batched
-kernel calls. Annealing pays for a full replay at every one of its 400 steps.
-The surrogate route ("surrogate") touches the simulator only through the
-dataset its network was trained on beforehand; identification refines through
-the frozen network and pays for none of that training.
+Jacobian of the residuals, so LM needs a few dozen batched kernel calls.
+Annealing pays for a full replay at every one of its 400 steps. The surrogate
+route ("surrogate") fits the frozen network's one-step residuals and touches
+the simulator only through the dataset that network was trained on
+beforehand, whose cost identification does not pay.
 """
 
 from dataclasses import dataclass, field
@@ -22,19 +23,34 @@ from .plant import (ParamBounds, PhysParams, PlantConfig, fk_positions,
                     rollout_batch, step_batch_sensitivities)
 
 
+# Iteration cap, and the stopping tolerance: the run ends once an accepted
+# step moves no bound-scaled coordinate by more than LM_TOL. The surrogate
+# route's RefineConfig.max_steps and convergence_tol default to them.
+LM_MAX_ITERATIONS = 100
+LM_TOL = 1e-10
+# Marquardt damping factor on diag(J^T J): divided by 10 after an accepted
+# step (never below the smallest normal double), multiplied by 10 after a
+# rejected one. Past the ceiling no step lowers the cost and the run ends.
+LM_INITIAL_DAMPING = 1e-3
+LM_MAX_DAMPING = 1e12
+# A run from the bounds midpoint can stop at a stationary point that is not
+# the least-squares minimum, with f off. When it ends with more than
+# LM_RESTART_REL_COST of its starting cost left, LM also runs from these
+# bound-scaled f values, with p and d at the midpoint, and the lowest final
+# cost wins.
+LM_RESTART_F = (0.3, 0.7)
+LM_RESTART_REL_COST = 1e-20
+
+
 @dataclass(frozen=True)
 class RefineConfig:
-    learning_rate: float = 0.001
-    max_steps: int = 500
-    convergence_tol: float = 1e-8
-    convergence_window: int = 20
+    max_steps: int = LM_MAX_ITERATIONS
+    convergence_tol: float = LM_TOL
     bounds: ParamBounds = field(default_factory=ParamBounds)
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.max_steps < 1:
+        if self.max_steps < 1 or not self.convergence_tol >= 0:
             raise ValueError("invalid refinement configuration")
-        if self.convergence_window < 1:
-            raise ValueError("convergence_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -65,11 +81,6 @@ class IdentifyReport:
 
 
 # --- shared plumbing ---------------------------------------------------------
-
-def _episode_tensors(episodes):
-    q, qd, acts, nq, nqd = datagen.episode_arrays(episodes)
-    return q, qd, np.hstack([q, qd, acts]), np.hstack([nq, nqd])
-
 
 def planar_pose_errors(q_pred_seq, q_obs_seq, cfg):
     """Mean translation and rotation error between two (T, N) joint-angle
@@ -105,56 +116,32 @@ def make_replay_energy(episodes, plant_cfg):
 
 # --- refinement through the surrogate ----------------------------------------
 
-def minimize_projected_adam(objective, u0, lr, max_steps, tol, window):
-    """Adam in the unit cube with projection after every step.
-
-    objective(u) -> (loss, grad). Returns (best u, loss curve); on exact loss
-    ties the earliest iterate wins.
-    """
-    u = np.clip(np.asarray(u0, dtype=float), 0.0, 1.0)
-    m, v = [np.zeros_like(u)], [np.zeros_like(u)]
-    curve = []
-    best_u, best_loss = u.copy(), np.inf
-    for t in range(1, max_steps + 1):
-        loss, grad = objective(u)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"non-finite refinement loss at step {t}")
-        curve.append(loss)
-        if loss < best_loss:
-            best_loss, best_u = loss, u.copy()
-        if len(curve) > window and abs(curve[-1] - curve[-1 - window]) < tol:
-            break
-        u = u.copy()  # the objective may keep the array it was given
-        surrogate.adam_step([u], [grad], m, v, t, lr)
-        np.clip(u, 0.0, 1.0, out=u)
-    return best_u, curve
-
-
 def refine_params(model, episodes, cfg: RefineConfig, candidates=None):
-    """Minimize the surrogate prediction error on real transitions over
-    (f, p, d) only, weights frozen. Optimization runs in the bound-scaled
-    coordinates of ParamBounds.to_unit, so Adam steps are comparable across
-    coordinates; cfg.bounds must be the bounds the model was trained in.
+    """_levenberg_marquardt on surrogate.make_param_residuals over the real
+    transitions, weights frozen, with cfg.max_steps as its iteration cap and
+    cfg.convergence_tol as its step tolerance; cfg.bounds must be the bounds
+    the model was trained in.
 
     Starts from the candidate parameter set with the lowest surrogate loss,
-    or from the bounds midpoint when no candidates are given.
-    Returns (identified PhysParams, loss curve).
+    or from the bounds midpoint when no candidates are given. Returns
+    (identified PhysParams, LM's cost curve).
     """
     if not episodes.episodes:
         raise ValueError("no episodes to refine against")
-    _, _, state_sa, next_raw = _episode_tensors(episodes)
-    objective = surrogate.make_param_objective(model, state_sa, next_raw)
+    q, qd, acts, nq, nqd = datagen.episode_arrays(episodes)
+    residuals = surrogate.make_param_residuals(
+        model, np.hstack([q, qd, acts]), np.hstack([nq, nqd]))
+    bounds = cfg.bounds
     if candidates:
-        losses = [objective(c.as_array(), grad=False) for c in candidates]
+        losses = [r @ r for r in (residuals(c.as_array(), jac=False)
+                                  for c in candidates)]
         start = candidates[int(np.argmin(losses))].as_array()
     else:
-        start = (cfg.bounds.lows() + cfg.bounds.highs()) / 2.0
-    best_u, curve = minimize_projected_adam(
-        lambda u: objective(cfg.bounds.from_unit(u)), cfg.bounds.to_unit(start),
-        cfg.learning_rate, cfg.max_steps, cfg.convergence_tol,
-        cfg.convergence_window)
-    fpd = cfg.bounds.clip(cfg.bounds.from_unit(best_u))
-    return PhysParams.from_array(fpd), curve
+        start = (bounds.lows() + bounds.highs()) / 2.0
+    u, curve = _levenberg_marquardt(
+        lambda u: residuals(bounds.from_unit(u)), bounds.to_unit(start),
+        cfg.max_steps, cfg.convergence_tol)
+    return PhysParams.from_array(bounds.clip(bounds.from_unit(u))), curve
 
 
 # --- simulated annealing baseline -------------------------------------------
@@ -193,25 +180,7 @@ def anneal_params(episodes, cfg: AnnealConfig, plant_cfg: PlantConfig,
     return PhysParams.from_array(best), curve
 
 
-# --- Levenberg-Marquardt on the differentiable plant -----------------------
-
-# Iteration cap, and the stopping tolerance: the run ends once an accepted
-# step moves no bound-scaled coordinate by more than LM_TOL.
-LM_MAX_ITERATIONS = 100
-LM_TOL = 1e-10
-# Marquardt damping factor on diag(J^T J): divided by 10 after an accepted
-# step, multiplied by 10 after a rejected one. Past the ceiling no step
-# lowers the cost and the run ends.
-LM_INITIAL_DAMPING = 1e-3
-LM_MAX_DAMPING = 1e12
-# A run from the bounds midpoint can stop at a stationary point that is not
-# the least-squares minimum, with f off. When it ends with more than
-# LM_RESTART_REL_COST of its starting cost left, LM also runs from these
-# bound-scaled f values, with p and d at the midpoint, and the lowest final
-# cost wins.
-LM_RESTART_F = (0.3, 0.7)
-LM_RESTART_REL_COST = 1e-20
-
+# --- Levenberg-Marquardt, and the plant's one-step residuals ---------------
 
 def make_one_step_residuals(episodes, plant_cfg):
     """Residuals of the teacher-forced one-step predictions against the
@@ -237,21 +206,14 @@ def make_one_step_residuals(episodes, plant_cfg):
 
 
 def gauss_newton_params(episodes, bounds: ParamBounds, plant_cfg: PlantConfig):
-    """Damped Gauss-Newton (Levenberg-Marquardt) on the one-step residuals of
-    make_one_step_residuals, in the bound-scaled coordinates u in [0, 1]^3
-    of ParamBounds.to_unit.
+    """_levenberg_marquardt on the one-step residuals of
+    make_one_step_residuals, in the bound-scaled coordinates of
+    ParamBounds.to_unit.
 
     Starts at the bounds midpoint; when that run leaves residual cost, also
     starts from each f in LM_RESTART_F and keeps the run of lowest final
-    cost (the midpoint's on ties). Each step solves
-    (J^T J + lam * diag(J^T J)) s = -J^T r over the free coordinates, then
-    projects onto the bounds. A coordinate is held fixed when its bound
-    interval is collapsed, when the residuals do not depend on it (no
-    excitation), or when it sits on a bound with the gradient pointing
-    outward; the damping carries what rank deficiency remains. A run stops
-    after LM_MAX_ITERATIONS, at zero cost or gradient, when an accepted step
-    is at most LM_TOL, or when damping past LM_MAX_DAMPING finds no lower
-    cost.
+    cost (the midpoint's on ties). A coordinate whose bound interval is
+    collapsed is held fixed.
 
     Returns (fitted params, mean squared residual at the start and after
     each accepted step of the winning run).
@@ -259,50 +221,67 @@ def gauss_newton_params(episodes, bounds: ParamBounds, plant_cfg: PlantConfig):
     if not episodes.episodes:
         raise ValueError("no episodes to fit against")
     residuals = make_one_step_residuals(episodes, plant_cfg)
-    u, curve = _levenberg_marquardt(residuals, bounds, np.full(3, 0.5))
+    span = bounds.highs() - bounds.lows()
+
+    def unit_residuals(u):
+        r, J = residuals(bounds.from_unit(u))
+        return r, J * span  # a collapsed bound gives a zero column
+
+    u, curve = _levenberg_marquardt(unit_residuals, np.full(3, 0.5))
     if curve[-1] > LM_RESTART_REL_COST * curve[0]:
         for f_start in LM_RESTART_F:
             u_alt, curve_alt = _levenberg_marquardt(
-                residuals, bounds, np.array([f_start, 0.5, 0.5]))
+                unit_residuals, np.array([f_start, 0.5, 0.5]))
             if curve_alt[-1] < curve[-1]:
                 u, curve = u_alt, curve_alt
     return PhysParams.from_array(bounds.clip(bounds.from_unit(u))), curve
 
 
-def _levenberg_marquardt(residuals, bounds: ParamBounds, u):
-    """One LM run from bound-scaled u; returns (final u, cost curve)."""
-    span = bounds.highs() - bounds.lows()
-    r, J = residuals(bounds.from_unit(u))
+def _levenberg_marquardt(residuals, u, max_iterations=LM_MAX_ITERATIONS,
+                        tol=LM_TOL):
+    """One LM run from bound-scaled u in [0, 1]^3; residuals(u) -> (r, J),
+    J the derivative of r with respect to u.
+
+    Each step solves (J^T J + lam * diag(J^T J)) s = -J^T r over the free
+    coordinates, then projects onto the cube. A coordinate is held fixed
+    when its Jacobian column is zero (a collapsed bound, no excitation) or
+    when it sits on a face with the gradient pointing outward. The run stops
+    after max_iterations, at zero cost or gradient, when an accepted step
+    moves no coordinate by more than tol, or when damping past
+    LM_MAX_DAMPING finds no lower cost. Returns (final u, mean squared
+    residual at the start and after each accepted step).
+    """
+    r, J = residuals(u)
     cost = float(r @ r)
     if not np.isfinite(cost):
         raise RuntimeError(f"non-finite residuals at the start u={u.tolist()}")
     curve = [cost / r.size]
     lam = LM_INITIAL_DAMPING
-    for _ in range(LM_MAX_ITERATIONS):
-        Ju = J * span  # a collapsed bound gives a zero column
-        g = Ju.T @ r
-        free = (np.any(Ju != 0.0, axis=0)
+    for _ in range(max_iterations):
+        g = J.T @ r
+        free = (np.any(J != 0.0, axis=0)
                 & ~((u <= 0.0) & (g > 0)) & ~((u >= 1.0) & (g < 0)))
         if cost == 0.0 or not np.any(g[free]):
             break
-        A = Ju[:, free].T @ Ju[:, free]
+        A = J[:, free].T @ J[:, free]
         D = np.diag(np.diag(A))
         while lam <= LM_MAX_DAMPING:
             step = np.zeros(3)
             step[free] = np.linalg.solve(A + lam * D, -g[free])
             u_new = np.clip(u + step, 0.0, 1.0)
-            r_new, J_new = residuals(bounds.from_unit(u_new))
+            r_new, J_new = residuals(u_new)
             cost_new = float(r_new @ r_new)
             if cost_new < cost:
                 break
             lam *= 10.0
         else:
             break
-        lam /= 10.0
+        # kept positive: a damping of 0 would stay 0 under the *= 10 above
+        lam = max(lam / 10.0, np.finfo(float).tiny)
         moved = float(np.max(np.abs(u_new - u)))
         u, r, J, cost = u_new, r_new, J_new, cost_new
         curve.append(cost / r.size)
-        if moved <= LM_TOL:
+        if moved <= tol:
             break
     return u, curve
 

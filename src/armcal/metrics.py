@@ -21,15 +21,6 @@ class TrajErrorReport:
     trajectory_error: float
     rotation_error: float
     translation_error: float
-    per_step: tuple = None
-
-
-def _positions(poses):
-    return np.array([p.x for p in poses])
-
-
-def _rotations(poses):
-    return np.array([p.R for p in poses])
 
 
 def _check_lengths(pred, gt):
@@ -42,15 +33,15 @@ def _check_lengths(pred, gt):
 def translation_error(pred, gt):
     """Mean Euclidean distance between position sequences."""
     _check_lengths(pred, gt)
-    diff = _positions(pred) - _positions(gt)
+    diff = np.array([p.x for p in pred]) - np.array([p.x for p in gt])
     return float(np.mean(np.linalg.norm(diff, axis=1)))
 
 
 def rotation_error(pred, gt):
     """Mean arcsin-of-scaled-Frobenius angle error between rotation sequences."""
     _check_lengths(pred, gt)
-    Rp = _rotations(pred)
-    Rg = _rotations(gt)
+    Rp = np.array([p.R for p in pred])
+    Rg = np.array([p.R for p in gt])
     for R in (Rp, Rg):
         err = np.abs(np.einsum("tij,tkj->tik", R, R) - np.eye(3))
         if np.max(err) > _ORTHO_TOL:
@@ -60,14 +51,8 @@ def rotation_error(pred, gt):
     return float(np.mean(np.arcsin(arg)))
 
 
-def trajectory_error(pred, gt, with_per_step=False):
+def trajectory_error(pred, gt):
     """Translation plus rotation error, components reported separately."""
     trans = translation_error(pred, gt)
     rot = rotation_error(pred, gt)
-    per_step = None
-    if with_per_step:
-        diff = _positions(pred) - _positions(gt)
-        frob = np.linalg.norm(_rotations(pred) - _rotations(gt), axis=(1, 2))
-        per_step = tuple(np.linalg.norm(diff, axis=1)
-                         + np.arcsin(np.clip(frob / _MAX_FROB, 0.0, 1.0)))
-    return TrajErrorReport(trans + rot, rot, trans, per_step)
+    return TrajErrorReport(trans + rot, rot, trans)

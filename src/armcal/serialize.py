@@ -219,11 +219,23 @@ def checkpoint_to_json(model: MlpCheckpoint):
 
 
 def checkpoint_from_json(doc):
+    """The checkpoint in `doc`; a ValueError names an activation other than
+    tanh, or a layer whose shapes disagree with layer_dims."""
+    dims = tuple(doc["layer_dims"])
+    weights = [np.array(W, dtype=float) for W in doc["weights"]]
+    biases = [np.array(b, dtype=float) for b in doc["biases"]]
+    if doc["activation"] != "tanh":
+        raise ValueError(f"activation must be 'tanh', got {doc['activation']!r}")
+    want = [((o, i), (o,)) for i, o in zip(dims[:-1], dims[1:])]
+    if not len(weights) == len(biases) == len(want):
+        raise ValueError(f"{len(weights)} weight and {len(biases)} bias "
+                         f"layers, layer_dims {list(dims)} give {len(want)}")
+    for i, (W, b) in enumerate(zip(weights, biases)):
+        if (W.shape, b.shape) != want[i]:
+            raise ValueError(f"layer {i} has weight and bias shapes "
+                             f"{W.shape}, {b.shape}; layer_dims give {want[i]}")
     return MlpCheckpoint(
-        tuple(doc["layer_dims"]),
-        [np.array(W, dtype=float) for W in doc["weights"]],
-        [np.array(b, dtype=float) for b in doc["biases"]],
-        doc["activation"],
+        dims, weights, biases, doc["activation"],
         norm_stats_from_json(doc["norm_stats"]),
         bounds_from_json(doc["bounds"]),
         int(doc["rng_seed"]),

@@ -12,9 +12,9 @@ space, where every loss is measured. All gradients (weights and inputs) are
 exact backpropagation, checked against central finite differences in tests.
 Every loop that makes many passes runs them into one reused workspace:
 training writes each minibatch's activations, deltas and weight gradients
-into the same arrays, and refinement's objective (make_param_objective)
-normalizes its rows once and neither holds nor computes the weight
-gradients it does not use.
+into the same arrays, and refinement's residuals (make_param_residuals)
+normalize their rows once and neither hold nor compute the weight gradients
+they do not use.
 """
 
 from dataclasses import dataclass, field
@@ -24,8 +24,8 @@ import numpy as np
 from .datagen import NormStats
 from .plant import ParamBounds
 
-# Adam moment decays and denominator guard, shared by every optimiser in the
-# package, and the per-epoch exponential decay of the training step size.
+# Adam moment decays and denominator guard, shared by surrogate training and
+# TPO, and the per-epoch exponential decay of the training step size.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -108,12 +108,12 @@ def build_input(model, fpd, state_sa):
     return np.hstack([model.bounds.to_unit(fpd), (state_sa - m_sa) / s_sa])
 
 
-def _z_baseline(model, state_sa):
-    """Current state expressed in next-state z-units: the network's skip
-    connection, so it only has to learn the one-step change."""
+def _targets(model, state_sa, next_raw):
+    """The next state less the current state, in next-state z-units: the
+    network's skip connection, so it only has to learn the one-step change."""
     n = model.n_joints
     _, _, m_nx, s_nx = _split_stats(model)
-    return (state_sa[:, :2 * n] - m_nx) / s_nx
+    return (next_raw - m_nx) / s_nx - (state_sa[:, :2 * n] - m_nx) / s_nx
 
 
 # --- forward / backward on normalized batches --------------------------------
@@ -232,8 +232,7 @@ def train(model: MlpCheckpoint, data, cfg: TrainConfig) -> MlpCheckpoint:
         raise ValueError("empty training dataset")
     n = model.n_joints
     X = build_input(model, data[:, :3], data[:, 3:3 + 3 * n])
-    _, _, m_nx, s_nx = _split_stats(model)
-    Y = (data[:, 3 + 3 * n:] - m_nx) / s_nx - _z_baseline(model, data[:, 3:3 + 3 * n])
+    Y = _targets(model, data[:, 3:3 + 3 * n], data[:, 3 + 3 * n:])
 
     rng = np.random.default_rng(cfg.seed)
     arrays = model.weights + model.biases
@@ -272,36 +271,56 @@ def train(model: MlpCheckpoint, data, cfg: TrainConfig) -> MlpCheckpoint:
     return model
 
 
-def make_param_objective(model, state_sa, next_raw):
-    """L_para over a batch of real transitions as a function of the (f, p, d)
-    shared by every row, weights frozen.
+def make_param_residuals(model, state_sa, next_raw):
+    """The network's one-step residuals over (B, 3N) raw state|action rows
+    and their (B, 2N) observed next states, as a function of the (f, p, d)
+    shared by every row, weights frozen. The normalized rows, the targets
+    and one workspace without weight gradients are built once.
 
-    state_sa: (B, 3N) raw state|action rows. next_raw: (B, 2N) observed next
-    states. The normalized state|action columns, the targets and one
-    workspace without weight gradients are built once; a call writes only
-    the parameter columns.
-    Returns objective(fpd_row, grad=True): fpd_row is (3,) raw parameters;
-    the loss is the mean squared error in z-scored next-state space, and with
-    grad it comes with its gradient in ParamBounds.to_unit coordinates, as
-    (loss, (3,) gradient).
+    Returns residuals(fpd_row, jac=True): r is the (B * 2N,) output minus
+    target in z-scored next-state space, from a forward pass alone when jac
+    is False; with jac, (r, J), J its (B * 2N, 3) Jacobian in
+    ParamBounds.to_unit coordinates (zero for a collapsed bound), from one
+    input-gradient backward pass per output column.
     """
-    B = len(state_sa)
-    m_sa, s_sa, m_nx, s_nx = _split_stats(model)
-    X = np.empty((B, model.layer_dims[0]))
-    X[:, 3:] = (state_sa - m_sa) / s_sa
-    Y = (next_raw - m_nx) / s_nx - _z_baseline(model, state_sa)
+    B, n_out = len(state_sa), model.layer_dims[-1]
+    X = build_input(model, np.zeros((B, 3)), state_sa)  # a call sets X[:, :3]
+    Y = _targets(model, state_sa, next_raw)
     ws = workspace(model.layer_dims, B, weight_grads=False)
+    unit = np.zeros((B, n_out))  # d(output column k)/d(output), column k set
+    collapsed = model.bounds.highs() == model.bounds.lows()
+
+    def residuals(fpd_row, jac=True):
+        X[:, :3] = model.bounds.to_unit(np.asarray(fpd_row, dtype=float))
+        if not jac:
+            return (forward_normalized(model, X, ws=ws) - Y).ravel()
+        out, acts = forward_normalized(model, X, keep_cache=True, ws=ws)
+        r = (out - Y).ravel()
+        J = np.empty((B, n_out, 3))
+        for k in range(n_out):
+            unit[:, k] = 1.0
+            J[:, k] = backward_from_delta(model, acts, unit, weight_grads=False,
+                                          ws=ws)[2][:, :3]
+            unit[:, k] = 0.0
+        J[:, :, collapsed] = 0.0
+        return r, J.reshape(-1, 3)
+
+    return residuals
+
+
+def make_param_objective(model, state_sa, next_raw):
+    """L_para, the mean over rows of the squared residuals of
+    make_param_residuals, which takes the same arguments. Returns
+    objective(fpd_row, grad=True): the loss from a forward pass alone, or
+    with grad (loss, (3,) gradient in ParamBounds.to_unit coordinates)."""
+    residuals, B = make_param_residuals(model, state_sa, next_raw), len(state_sa)
 
     def objective(fpd_row, grad=True):
-        X[:, :3] = model.bounds.to_unit(np.asarray(fpd_row, dtype=float))
-        out, acts = forward_normalized(model, X, keep_cache=True, ws=ws)
-        diff = out - Y
-        loss = float(np.mean(np.sum(diff * diff, axis=1)))
         if not grad:
-            return loss
-        _, _, dX = backward_from_delta(model, acts, 2.0 * diff / B,
-                                       weight_grads=False, ws=ws)
-        return loss, dX[:, :3].sum(axis=0)
+            r = residuals(fpd_row, jac=False)
+            return float(r @ r) / B
+        r, J = residuals(fpd_row)
+        return float(r @ r) / B, (2.0 / B) * (r @ J)
 
     return objective
 

@@ -82,7 +82,7 @@ class TestExitCodes:
         "datagen.horizon=5.0",  # a float for an int
         "tpo.m=true",  # a bool for an int
         'anneal.steps="400"',
-        "refine.learning_rate=false",  # a bool for a float
+        "refine.convergence_tol=false",  # a bool for a float
         "output_dir=3",  # an int for a string
         "tpo.goal=1.0",  # a number for a list
     ])
@@ -113,7 +113,8 @@ class TestExitCodes:
         "tpo.learning_rate=-1",
         "tpo.epochs_per_cycle=0",  # TpoConfig: no loss to report
         "tpo.epochs_per_cycle=-1",
-        "refine.convergence_window=0",  # RefineConfig: stops after one step
+        "refine.max_steps=0",  # RefineConfig: no LM iteration
+        "refine.convergence_tol=-1",
         "holdout_fraction=1.5",
         "holdout_fraction=1",
         "holdout_fraction=-0.25",
@@ -332,6 +333,24 @@ class TestPipeline:
                    "bounds.p=[300,900]", "identify", "--method", "surrogate") == 2
         assert not (tmp_path / "identify_report.csv").exists()
 
+    @pytest.mark.parametrize("field, edit", [
+        ("activation", lambda doc: doc.update(activation="relu")),
+        ("layer 1", lambda doc: doc["weights"][1].pop()),  # one row short
+        ("bias layers", lambda doc: doc["biases"].pop()),
+    ])
+    def test_surrogate_rejects_a_malformed_checkpoint(self, tmp_path, capsys,
+                                                      field, edit):
+        assert run(tmp_path, "datagen") == 0
+        assert run(tmp_path, "train-surrogate") == 0
+        ckpt = tmp_path / "checkpoint.json"
+        doc = json.loads(ckpt.read_text())
+        edit(doc)
+        ckpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(tmp_path, "identify", "--method", "surrogate") == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "identified_params.json").exists()
+
     def test_holdout_must_leave_an_episode_to_fit(self, tmp_path):
         one = ["--set", "datagen.n_episodes=1"]
         assert run(tmp_path, *one, "datagen") == 0
@@ -488,7 +507,7 @@ class TestConfigPlumbing:
     def test_default_config_hash_pinned(self):
         # the CLI keys and their defaults, read off the config classes
         assert serialize.config_hash(default_config()) == \
-            "0db8c94a6b3928680907fe54db3e1dbf19757a5e594df132fba5cddba679c3f3"
+            "061b129c7d0fe5c9073c04e595df8e33c9a40bd92797a105f2c1c825afffc58d"
 
     def test_default_beta_is_inverse_exploration_variance(self):
         assert default_config()["tpo"]["beta"] == \

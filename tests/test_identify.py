@@ -8,8 +8,7 @@ from armcal import cli, datagen, identify, metrics, surrogate
 from armcal.identify import (AnnealConfig, RefineConfig, anneal_params,
                              evaluate_params, gauss_newton_params,
                              make_one_step_residuals, make_replay_energy,
-                             minimize_projected_adam, planar_pose_errors,
-                             recovery_error, refine_params)
+                             planar_pose_errors, recovery_error, refine_params)
 from armcal.plant import ParamBounds, PhysParams, PlantConfig, fk, rollout_batch
 
 BOUNDS = ParamBounds()
@@ -36,124 +35,65 @@ class TestPlanarPoseErrors:
         assert trans == 0.0 and rot == 0.0
 
 
-class TestProjectedAdam:
-    def quad(self, target):
-        def objective(u):
-            d = u - target
-            return float(d @ d), 2.0 * d
-        return objective
+def stub_residuals(monkeypatch, residuals_of_u):
+    """Make refinement's residuals the given (r, J) function of the
+    bound-scaled parameters, whatever the model and episodes."""
+    def residuals(fpd_row, jac=True):
+        r, J = residuals_of_u(BOUNDS.to_unit(fpd_row))
+        return (r, J) if jac else r
 
-    def test_interior_quadratic(self):
-        u, curve = minimize_projected_adam(self.quad(np.array([0.3, 0.7, 0.5])),
-                                           np.full(3, 0.5), 0.01, 2000,
-                                           1e-12, 20)
-        np.testing.assert_allclose(u, [0.3, 0.7, 0.5], atol=1e-3)
-        assert curve[-1] <= curve[0]
-
-    def test_projection_onto_cube(self):
-        # unconstrained minimizer outside the cube: solution sits on the face
-        u, _ = minimize_projected_adam(self.quad(np.array([1.4, -0.2, 0.5])),
-                                       np.full(3, 0.5), 0.02, 3000, 1e-13, 20)
-        np.testing.assert_allclose(u, [1.0, 0.0, 0.5], atol=1e-3)
-        assert np.all(u >= 0.0) and np.all(u <= 1.0)
-
-    def test_best_iterate_returned(self):
-        # objective that improves then worsens: the returned point must be the
-        # best visited, not the last
-        losses = iter([5.0, 1.0, 3.0, 4.0, 4.0, 4.0])
-
-        def objective(u):
-            return next(losses), np.zeros_like(u)
-
-        marker = []
-
-        def wrapped(u):
-            out = objective(u)
-            marker.append((u.copy(), out[0]))
-            return out
-
-        u, curve = minimize_projected_adam(wrapped, np.full(3, 0.5),
-                                           0.1, 6, 0.0, 100)
-        assert curve == [5.0, 1.0, 3.0, 4.0, 4.0, 4.0]
-        best_u = marker[int(np.argmin([m[1] for m in marker]))][0]
-        np.testing.assert_array_equal(u, best_u)
-
-    def test_convergence_window_stops_early(self):
-        calls = []
-
-        def objective(u):
-            calls.append(1)
-            return 1.0, np.zeros_like(u)  # constant loss
-
-        minimize_projected_adam(objective, np.full(3, 0.5), 0.01, 1000,
-                                1e-8, window=5)
-        assert len(calls) == 6  # window + 1 evaluations then stop
-
-    def test_nonfinite_loss_raises(self):
-        with pytest.raises(RuntimeError):
-            minimize_projected_adam(lambda u: (np.nan, np.zeros(3)),
-                                    np.full(3, 0.5), 0.01, 10, 1e-8, 5)
+    monkeypatch.setattr(surrogate, "make_param_residuals",
+                        lambda model, state_sa, next_raw: residuals)
 
 
-def stub_objective(monkeypatch, loss_and_grad):
-    """Make refinement's objective the given (loss, grad) function of the
-    raw parameters, whatever the model and episodes."""
-    def objective(fpd_row, grad=True):
-        loss, g = loss_and_grad(fpd_row)
-        return (loss, g) if grad else loss
-
-    monkeypatch.setattr(surrogate, "make_param_objective",
-                        lambda model, state_sa, next_raw: objective)
+def trained_surrogate(bounds=BOUNDS):
+    """A small network trained in `bounds` on rows of a few episodes, those
+    episodes and the parameter sets its rows were made with."""
+    eps = datagen.make_synthetic_real(PhysParams(8.0, 80.0, 3.0), 4, 30, CFG,
+                                      seed=3)
+    candidates = datagen.sample_params(10, bounds, 1)
+    data = datagen.generate_transition_arrays(eps, candidates, CFG)
+    model = surrogate.init(surrogate.default_layer_dims(CFG.n_joints, 16), 2,
+                           norm_stats=datagen.compute_norm_stats(data),
+                           bounds=bounds)
+    model = surrogate.train(model, data,
+                            surrogate.TrainConfig(max_epochs=20, seed=0))
+    return model, eps, candidates
 
 
 class TestRefine:
     def test_recovers_minimum_of_quadratic_surrogate_stub(self, monkeypatch):
-        # bypass the MLP: a stub whose param_loss is quadratic with a known
+        # bypass the MLP: a stub whose residuals are linear in u with a known
         # minimizer exercises the full refinement loop
         target_u = np.array([0.25, 0.6, 0.8])
-        truth = BOUNDS.from_unit(target_u)
-
-        eps = datagen.make_synthetic_real(PhysParams.from_array(truth),
-                                          2, 5, CFG, seed=0)
-
-        def stub_loss(fpd):
-            u = BOUNDS.to_unit(fpd)
-            d = u - target_u
-            return float(d @ d), 2.0 * d
-
-        stub_objective(monkeypatch, stub_loss)
-        got, curve = refine_params(
-            None, eps,
-            RefineConfig(learning_rate=0.01, max_steps=3000,
-                         convergence_tol=1e-14, bounds=BOUNDS))
-        got_u = BOUNDS.to_unit(got.as_array())
-        np.testing.assert_allclose(got_u, target_u, atol=1e-3)
-        assert curve[-1] < curve[0]
+        eps = datagen.make_synthetic_real(
+            PhysParams.from_array(BOUNDS.from_unit(target_u)), 2, 5, CFG, seed=0)
+        stub_residuals(monkeypatch, lambda u: (u - target_u, np.eye(3)))
+        got, curve = refine_params(None, eps, RefineConfig(bounds=BOUNDS))
+        np.testing.assert_allclose(BOUNDS.to_unit(got.as_array()), target_u,
+                                   atol=1e-12)
+        assert all(b < a for a, b in zip(curve, curve[1:]))
 
     def test_best_sampled_init_prefers_lowest_loss_candidate(self, monkeypatch):
-        # with zero refinement steps... max_steps >= 1, so use a tiny budget
-        # and zero learning rate: the result equals the best-sampled start
+        # residuals that no parameter moves (a zero Jacobian) stop LM at its
+        # start: the result equals the best-sampled start
         eps = datagen.make_synthetic_real(PhysParams(2.0, 100.0, 5.0),
                                           1, 3, CFG, seed=0)
         cands = datagen.sample_params(10, BOUNDS, seed=3)
-        target = cands[4].as_array()
-
-        def stub_loss(fpd):
-            d = (np.asarray(fpd) - target) / (BOUNDS.highs() - BOUNDS.lows())
-            return float(d @ d), np.zeros(3)
-
-        stub_objective(monkeypatch, stub_loss)
-        got, _ = refine_params(
-            None, eps,
-            RefineConfig(learning_rate=1e-12, max_steps=1, bounds=BOUNDS),
-            candidates=cands)
-        np.testing.assert_allclose(got.as_array(), target, atol=1e-6)
+        target_u = BOUNDS.to_unit(cands[4].as_array())
+        stub_residuals(monkeypatch, lambda u: (u - target_u, np.zeros((3, 3))))
+        got, curve = refine_params(None, eps, RefineConfig(bounds=BOUNDS),
+                                   candidates=cands)
+        np.testing.assert_allclose(got.as_array(), cands[4].as_array(),
+                                   atol=1e-6)
+        assert len(curve) == 1
 
     @pytest.mark.parametrize("with_candidates", [True, False],
                              ids=["best-sampled", "bounds-midpoint"])
-    def test_matches_adam_on_the_backprop_loss(self, with_candidates):
-        # refinement gives, bit for bit, the params and loss curve of
-        # projected Adam on surrogate.backprop's loss over build_input's rows
+    def test_matches_lm_on_the_backprop_residuals(self, with_candidates):
+        # refinement gives, bit for bit, the params and cost curve of LM on
+        # residuals built from build_input's rows, with one fresh-array
+        # backward pass per output column as their Jacobian
         eps = datagen.make_synthetic_real(PhysParams(4.0, 200.0, 10.0),
                                           3, 20, CFG, seed=2)
         cands = datagen.sample_params(6, BOUNDS, seed=4)
@@ -168,29 +108,80 @@ class TestRefine:
         s_nx = model.norm_stats.std[3 + 3 * n:]
         Y = (next_raw - m_nx) / s_nx - (state_sa[:, :2 * n] - m_nx) / s_nx
 
-        def backprop_loss(fpd):
+        def oracle(fpd):
             fpd_rows = np.broadcast_to(fpd, (len(state_sa), 3))
             X = surrogate.build_input(model, fpd_rows, state_sa)
-            loss, _, _, dX = surrogate.backprop(model, X, Y)
-            return loss, dX[:, :3].sum(axis=0)
+            out, layer_acts = surrogate.forward_normalized(model, X,
+                                                           keep_cache=True)
+            columns = []
+            for k in range(2 * n):
+                unit = np.zeros_like(out)
+                unit[:, k] = 1.0
+                dX = surrogate.backward_from_delta(model, layer_acts, unit)[2]
+                columns.append(dX[:, :3])
+            return (out - Y).ravel(), np.stack(columns, axis=1).reshape(-1, 3)
 
-        cfg = RefineConfig(learning_rate=0.01, max_steps=60,
-                           convergence_tol=0.0, bounds=BOUNDS)
+        cfg = RefineConfig(max_steps=60, convergence_tol=0.0, bounds=BOUNDS)
         if with_candidates:
-            losses = [backprop_loss(c.as_array())[0] for c in cands]
-            start = cands[int(np.argmin(losses))].as_array()
+            losses = [oracle(c.as_array())[0] for c in cands]
+            start = cands[int(np.argmin([r @ r for r in losses]))].as_array()
         else:
             start = (BOUNDS.lows() + BOUNDS.highs()) / 2.0
-        best_u, curve = minimize_projected_adam(
-            lambda u: backprop_loss(BOUNDS.from_unit(u)), BOUNDS.to_unit(start),
-            cfg.learning_rate, cfg.max_steps, cfg.convergence_tol,
-            cfg.convergence_window)
+        u, curve = identify._levenberg_marquardt(
+            lambda u: oracle(BOUNDS.from_unit(u)), BOUNDS.to_unit(start),
+            cfg.max_steps, cfg.convergence_tol)
         got, got_curve = refine_params(model, eps, cfg,
                                        cands if with_candidates else None)
         np.testing.assert_array_equal(got.as_array(),
-                                      BOUNDS.clip(BOUNDS.from_unit(best_u)))
+                                      BOUNDS.clip(BOUNDS.from_unit(u)))
         assert got_curve == curve
-        assert len(curve) == 60 and curve[-1] < curve[0]
+        assert 1 < len(curve) <= 61 and curve[-1] < curve[0]
+
+    def test_ends_at_a_stationary_point(self):
+        # the projected central-difference gradient of the surrogate loss at
+        # the result is at most 1e-6 of the one at the best-sampled start
+        model, eps, candidates = trained_surrogate()
+        q, qd, acts, nq, nqd = datagen.episode_arrays(eps)
+        loss = surrogate.make_param_objective(
+            model, np.hstack([q, qd, acts]), np.hstack([nq, nqd]))
+
+        def projected_gradient(u, h=1e-6):
+            g = np.array([(loss(BOUNDS.from_unit(u + h * e), grad=False)
+                           - loss(BOUNDS.from_unit(u - h * e), grad=False)) / (2 * h)
+                          for e in np.eye(3)])
+            return np.where(((u <= 0.0) & (g > 0)) | ((u >= 1.0) & (g < 0)), 0.0, g)
+
+        start = candidates[int(np.argmin(
+            [loss(c.as_array(), grad=False) for c in candidates]))]
+        got, curve = refine_params(model, eps, RefineConfig(bounds=BOUNDS),
+                                   candidates)
+        g_start = projected_gradient(BOUNDS.to_unit(start.as_array()))
+        g_end = projected_gradient(BOUNDS.to_unit(got.as_array()))
+        assert np.linalg.norm(g_end) <= 1e-6 * np.linalg.norm(g_start)
+        assert curve[-1] < curve[0]
+
+    def test_collapsed_bound_is_held_fixed(self):
+        pinned = ParamBounds(f_min=8.0, f_max=8.0)
+        model, eps, candidates = trained_surrogate(bounds=pinned)
+        got, curve = refine_params(model, eps, RefineConfig(bounds=pinned),
+                                   candidates)
+        assert got.f == 8.0 and got.within(pinned)
+        assert curve[-1] < curve[0]
+        # a point interval away from the truth: no raise, the rest still fit
+        off = ParamBounds(f_min=5.0, f_max=5.0, d_min=9.0, d_max=9.0)
+        model, eps, candidates = trained_surrogate(bounds=off)
+        got, curve = refine_params(model, eps, RefineConfig(bounds=off),
+                                   candidates)
+        assert got.f == 5.0 and got.d == 9.0 and got.within(off)
+        assert curve[-1] <= curve[0]
+
+    @pytest.mark.parametrize("max_steps", [1, 2, 5])
+    def test_curve_holds_at_most_max_steps_plus_one_costs(self, max_steps):
+        model, eps, candidates = trained_surrogate()
+        _, curve = refine_params(
+            model, eps, RefineConfig(max_steps=max_steps, convergence_tol=0.0,
+                                     bounds=BOUNDS), candidates)
+        assert 1 < len(curve) <= max_steps + 1
 
     def test_rejects_empty_episodes(self):
         with pytest.raises(ValueError):
@@ -199,6 +190,35 @@ class TestRefine:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RefineConfig(max_steps=0)
+        with pytest.raises(ValueError):
+            RefineConfig(convergence_tol=-1.0)
+        assert RefineConfig().max_steps == identify.LM_MAX_ITERATIONS
+        assert RefineConfig().convergence_tol == identify.LM_TOL
+
+
+class TestLevenbergMarquardt:
+    def test_damping_stays_positive(self, monkeypatch):
+        # from a damping that underflows to 0.0 after a few accepted steps, a
+        # rejected step would multiply 0.0 by 10 forever; a bound on the
+        # residual calls turns such a hang into a failure
+        monkeypatch.setattr(identify, "LM_INITIAL_DAMPING", 1e-320)
+        calls = []
+
+        def residuals(u):
+            calls.append(1)
+            if len(calls) > 2000:
+                raise RuntimeError("LM did not stop")
+            r = np.array([u[0] - 0.2, u[1] - 0.7, u[0] * u[2] - 0.5,
+                          np.sin(3.0 * u[1]) + u[2] - 0.1])
+            J = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                          [u[2], 0.0, u[0]], [0.0, 3.0 * np.cos(3.0 * u[1]), 1.0]])
+            return r, J
+
+        u, curve = identify._levenberg_marquardt(residuals, np.full(3, 0.5),
+                                                 500, 0.0)
+        assert np.all((u >= 0.0) & (u <= 1.0))
+        assert all(b < a for a, b in zip(curve, curve[1:]))
+        assert curve[-1] > 0.0 and len(curve) < 501
 
 
 class TestAnneal:
@@ -328,8 +348,14 @@ class TestGaussNewton:
                            24.488767148407582)
         eps = self.cli_episodes(601701079, truth, CFG)
         residuals = make_one_step_residuals(eps, CFG)
-        u_mid, curve_mid = identify._levenberg_marquardt(
-            residuals, BOUNDS, np.full(3, 0.5))
+        span = BOUNDS.highs() - BOUNDS.lows()
+
+        def unit_residuals(u):
+            r, J = residuals(BOUNDS.from_unit(u))
+            return r, J * span
+
+        u_mid, curve_mid = identify._levenberg_marquardt(unit_residuals,
+                                                         np.full(3, 0.5))
         assert abs(BOUNDS.from_unit(u_mid)[0] - truth.f) / truth.f > 0.05
         assert curve_mid[-1] > 1e-6
         got, curve = gauss_newton_params(eps, BOUNDS, CFG)
@@ -420,8 +446,8 @@ class TestGradientPipeline:
                                       candidates)
         assert params.within(BOUNDS)
         assert curve[-1] <= curve[0]
-        # refinement (best-iterate) can never end up worse than its
-        # best-sampled starting candidate under the surrogate objective
+        # LM accepts only steps that lower the cost, so refinement never ends
+        # worse than its best-sampled starting candidate
         q, qd, acts, nq, nqd = datagen.episode_arrays(eps)
         state_sa = np.hstack([q, qd, acts])
         next_raw = np.hstack([nq, nqd])

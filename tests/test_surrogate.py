@@ -13,8 +13,8 @@ from armcal.surrogate import (ADAM_EPS, MlpCheckpoint, TrainConfig,
                               TrainingDiverged, adam_step, backprop,
                               backward_from_delta, build_input,
                               default_layer_dims, forward_normalized, init,
-                              make_param_objective, param_loss_and_grad,
-                              train, workspace)
+                              make_param_objective, make_param_residuals,
+                              param_loss_and_grad, train, workspace)
 
 BOUNDS = ParamBounds()
 N = 2  # joints used throughout
@@ -196,6 +196,72 @@ class TestGradients:
         for k in range(3):
             denom = max(abs(fd[k]), abs(g[k]), 1e-8)
             assert abs(g[k] - fd[k]) / denom <= 1e-4
+
+
+class TestParamResiduals:
+    """make_param_residuals' Jacobian against central differences in the
+    bound-scaled coordinates, at random networks, rows and parameters."""
+
+    def case(self, seed, bounds=BOUNDS, rows=12):
+        rng = np.random.default_rng(seed)
+        stats = NormStats(rng.normal(size=13), rng.random(13) + 0.5)
+        model = init(default_layer_dims(N, hidden=8), seed, norm_stats=stats,
+                     bounds=bounds)
+        for b in model.biases:
+            b[:] = rng.normal(size=b.shape)
+        return (rng, model, rng.normal(size=(rows, 3 * N)),
+                rng.normal(size=(rows, 2 * N)))
+
+    def test_match_central_differences(self):
+        for seed in range(30):
+            rng, model, state_sa, next_raw = self.case(seed)
+            residuals = make_param_residuals(model, state_sa, next_raw)
+            u = rng.random(3)
+            r, J = residuals(BOUNDS.from_unit(u))
+            assert r.shape == (12 * 2 * N,) and J.shape == (r.size, 3)
+            # forward-only residuals are the same bits
+            assert np.array_equal(residuals(BOUNDS.from_unit(u), jac=False), r)
+            for j in range(3):
+                h = np.zeros(3)
+                h[j] = 1e-6
+                fd = (residuals(BOUNDS.from_unit(u + h), jac=False)
+                      - residuals(BOUNDS.from_unit(u - h), jac=False)) / 2e-6
+                # relative error of each transition's (2N,) derivative
+                # vector, as the plant's sensitivities are checked
+                an, fd = J[:, j].reshape(12, -1), fd.reshape(12, -1)
+                err = np.linalg.norm(an - fd, axis=1)
+                scale = np.maximum(np.maximum(np.linalg.norm(fd, axis=1),
+                                              np.linalg.norm(an, axis=1)), 1e-8)
+                assert np.max(err / scale) <= 1e-5
+
+    def test_residuals_are_output_minus_target(self):
+        _, model, state_sa, next_raw = self.case(40)
+        fpd = np.array([3.0, 150.0, 12.0])
+        r, _ = make_param_residuals(model, state_sa, next_raw)(fpd)
+        X = build_input(model, np.broadcast_to(fpd, (12, 3)), state_sa)
+        n = model.n_joints
+        m_nx = model.norm_stats.mean[3 + 3 * n:]
+        s_nx = model.norm_stats.std[3 + 3 * n:]
+        Y = (next_raw - m_nx) / s_nx - (state_sa[:, :2 * n] - m_nx) / s_nx
+        assert np.array_equal(r, (forward_normalized(model, X) - Y).ravel())
+
+    def test_collapsed_bound_has_a_zero_column(self):
+        pinned = ParamBounds(p_min=150.0, p_max=150.0)
+        _, model, state_sa, next_raw = self.case(41, bounds=pinned)
+        _, J = make_param_residuals(model, state_sa, next_raw)(
+            np.array([3.0, 150.0, 12.0]))
+        assert np.all(J[:, 1] == 0.0)
+        assert np.all(np.any(J[:, [0, 2]] != 0.0, axis=0))
+
+    def test_returned_arrays_outlive_the_next_call(self):
+        # LM keeps the accepted (r, J) while it evaluates a trial point
+        _, model, state_sa, next_raw = self.case(42)
+        residuals = make_param_residuals(model, state_sa, next_raw)
+        a = np.array([3.0, 150.0, 12.0])
+        r, J = residuals(a)
+        r0, J0 = r.copy(), J.copy()
+        residuals(np.array([8.0, 40.0, 1.0]))
+        assert np.array_equal(r, r0) and np.array_equal(J, J0)
 
 
 class TestWorkspacePasses:
