@@ -7,10 +7,12 @@ Both differentiable routes fit (f, p, d) with one damped Gauss-Newton loop
 The plant route ("grad") differentiates the simulator itself: forward-mode
 sensitivities of the teacher-forced one-step predictions give the exact
 Jacobian of the residuals, so LM needs a few dozen batched kernel calls.
-Annealing pays for a full replay at every one of its 400 steps. The surrogate
-route ("surrogate") fits the frozen network's one-step residuals and touches
-the simulator only through the dataset that network was trained on
-beforehand, whose cost identification does not pay.
+Annealing pays for a replay at every one of its 400 steps: one batched kernel
+call and the forward kinematics of the predicted poses, scored against
+observed poses computed once. The surrogate route ("surrogate") fits the
+frozen network's one-step residuals and touches the simulator only through
+the dataset that network was trained on beforehand, whose cost
+identification does not pay.
 """
 
 from dataclasses import dataclass, field
@@ -91,8 +93,14 @@ def planar_pose_errors(q_pred_seq, q_obs_seq, cfg):
     computable from the cumulative angles directly. Tests pin this against
     the matrix-based metrics module.
     """
-    pos_p, ang_p = fk_positions(q_pred_seq, cfg)
-    pos_o, ang_o = fk_positions(q_obs_seq, cfg)
+    return _pose_errors(fk_positions(q_pred_seq, cfg),
+                        fk_positions(q_obs_seq, cfg))
+
+
+def _pose_errors(pred, obs):
+    """planar_pose_errors between two (positions, angles) pairs of
+    fk_positions."""
+    (pos_p, ang_p), (pos_o, ang_o) = pred, obs
     trans = float(np.mean(np.linalg.norm(pos_p - pos_o, axis=1)))
     arg = np.clip(np.abs(np.sin((ang_p - ang_o) / 2.0)), 0.0, 1.0)
     rot = float(np.mean(np.arcsin(arg)))
@@ -101,14 +109,16 @@ def planar_pose_errors(q_pred_seq, q_obs_seq, cfg):
 
 def make_replay_energy(episodes, plant_cfg):
     """Annealing energy: trajectory error of a teacher-forced one-step replay
-    of every episode under the candidate parameters. The episode tensors are
-    assembled once and captured."""
+    of every episode under the candidate parameters. The episode tensors and
+    the poses of the observed next states are computed once and captured, so
+    a call is one kernel call and one forward kinematics."""
     q, qd, acts, nq, _ = datagen.episode_arrays(episodes)
+    observed = fk_positions(nq, plant_cfg)
 
     def energy(fpd):
         rows = np.broadcast_to(np.asarray(fpd, dtype=float), (len(q), 3))
         pred_q, _ = datagen.teacher_forced_next(rows, q, qd, acts, plant_cfg)
-        trans, rot = planar_pose_errors(pred_q, nq, plant_cfg)
+        trans, rot = _pose_errors(fk_positions(pred_q, plant_cfg), observed)
         return trans + rot
 
     return energy

@@ -186,13 +186,7 @@ def step_batch(params_fpd, q, qd, target, cfg: PlantConfig):
 
     params_fpd is (B, 3) with columns f, p, d.
     """
-    params_fpd = np.asarray(params_fpd, dtype=float)
-    _kernel_py.substep_batch(q, qd, target,
-                             np.ascontiguousarray(params_fpd[:, 0]),
-                             np.ascontiguousarray(params_fpd[:, 1]),
-                             np.ascontiguousarray(params_fpd[:, 2]),
-                             cfg.inv_inertia(), cfg.dt,
-                             cfg.substeps_per_action, cfg.friction_smoothing)
+    _substeps(params_fpd, q, qd, target, cfg)
 
 
 def step_batch_sensitivities(params_fpd, q, qd, target, cfg: PlantConfig):
@@ -204,17 +198,21 @@ def step_batch_sensitivities(params_fpd, q, qd, target, cfg: PlantConfig):
     Returns (dq, dqd), each (3, B, N): the derivative of the new q and qd
     with respect to f, p and d along the first axis.
     """
-    params_fpd = np.asarray(params_fpd, dtype=float)
     sq = np.zeros((3,) + q.shape)
     sqd = np.zeros((3,) + q.shape)
+    _substeps(params_fpd, q, qd, target, cfg, sens=(sq, sqd))
+    return sq, sqd
+
+
+def _substeps(params_fpd, q, qd, target, cfg, sens=None):
+    """The kernel's substeps of one action, with the (B, 3) parameters split
+    into contiguous columns and cfg's integration settings."""
+    fpd = np.asarray(params_fpd, dtype=float)
     _kernel_py.substep_batch(q, qd, target,
-                             np.ascontiguousarray(params_fpd[:, 0]),
-                             np.ascontiguousarray(params_fpd[:, 1]),
-                             np.ascontiguousarray(params_fpd[:, 2]),
+                             *(np.ascontiguousarray(col) for col in fpd.T),
                              cfg.inv_inertia(), cfg.dt,
                              cfg.substeps_per_action, cfg.friction_smoothing,
-                             sens=(sq, sqd))
-    return sq, sqd
+                             sens)
 
 
 def fk(q, cfg: PlantConfig) -> EePose:

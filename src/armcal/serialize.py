@@ -220,7 +220,8 @@ def checkpoint_to_json(model: MlpCheckpoint):
 
 def checkpoint_from_json(doc):
     """The checkpoint in `doc`; a ValueError names an activation other than
-    tanh, or a layer whose shapes disagree with layer_dims."""
+    tanh, or a layer or norm_stats vector whose shape disagrees with
+    layer_dims."""
     dims = tuple(doc["layer_dims"])
     weights = [np.array(W, dtype=float) for W in doc["weights"]]
     biases = [np.array(b, dtype=float) for b in doc["biases"]]
@@ -234,6 +235,11 @@ def checkpoint_from_json(doc):
         if (W.shape, b.shape) != want[i]:
             raise ValueError(f"layer {i} has weight and bias shapes "
                              f"{W.shape}, {b.shape}; layer_dims give {want[i]}")
+    for key in ("mean", "std"):  # one entry per input and output column
+        shape = np.shape(doc["norm_stats"][key])
+        if shape != (dims[0] + dims[-1],):
+            raise ValueError(f"norm_stats.{key} has shape {shape}; layer_dims "
+                             f"give ({dims[0] + dims[-1]},)")
     return MlpCheckpoint(
         dims, weights, biases, doc["activation"],
         norm_stats_from_json(doc["norm_stats"]),

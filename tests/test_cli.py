@@ -337,6 +337,10 @@ class TestPipeline:
         ("activation", lambda doc: doc.update(activation="relu")),
         ("layer 1", lambda doc: doc["weights"][1].pop()),  # one row short
         ("bias layers", lambda doc: doc["biases"].pop()),
+        # two entries short in both vectors, then in std alone
+        ("norm_stats.mean", lambda doc: doc["norm_stats"].update(
+            {k: v[:-2] for k, v in doc["norm_stats"].items()})),
+        ("norm_stats.std", lambda doc: doc["norm_stats"]["std"].pop()),
     ])
     def test_surrogate_rejects_a_malformed_checkpoint(self, tmp_path, capsys,
                                                       field, edit):

@@ -265,6 +265,34 @@ class TestAnneal:
                                                  bounds=BOUNDS), CFG)
         assert got.within(BOUNDS)
 
+    @pytest.mark.parametrize("sigma", [0.0, 1e-2])
+    def test_energy_equals_its_definition(self, sigma):
+        # the captured observed poses change no bit of the replay error
+        cfg = PlantConfig(obs_noise_std=sigma)
+        eps = datagen.make_synthetic_real(PhysParams(8.0, 300.0, 20.0), 3, 20,
+                                          cfg, seed=4)
+        energy = make_replay_energy(eps, cfg)
+        q, qd, acts, nq, _ = datagen.episode_arrays(eps)
+        for fpd in BOUNDS.from_unit(np.random.default_rng(7).random((50, 3))):
+            pred_q, _ = datagen.teacher_forced_next(
+                np.tile(fpd, (len(q), 1)), q, qd, acts, cfg)
+            assert energy(fpd) == sum(planar_pose_errors(pred_q, nq, cfg))
+
+    @pytest.mark.parametrize("sigma, expected", [
+        (0.0, (4.156236914781408, 296.75363467500176, 19.612957037777377,
+               0.009052789289360172)),
+        (1e-2, (0.0, 282.5051421559816, 20.493137520479248,
+                0.033991330455031485)),
+    ])
+    def test_pinned_result(self, sigma, expected):
+        # a full-length run, pinned to its floats: work on the speed of the
+        # kernel or the energy must not move a bit of the result
+        cfg = PlantConfig(obs_noise_std=sigma)
+        eps = datagen.make_synthetic_real(PhysParams(8.0, 300.0, 20.0), 3, 20,
+                                          cfg, seed=4)
+        got, curve = anneal_params(eps, AnnealConfig(seed=6, bounds=BOUNDS), cfg)
+        assert (got.f, got.p, got.d, curve[-1]) == expected
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AnnealConfig(steps=0)

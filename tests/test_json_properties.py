@@ -80,8 +80,9 @@ def assert_same_arrays(got, want):
 class TestCheckpointJson:
     DIMS = (3 + 3, 3, 2, 2)  # one joint, hidden width 3 then 2
 
-    @given(layer_stacks(DIMS), arrays(np.float64, (6,), elements=VALUES),
-           arrays(np.float64, (6,), elements=POSITIVE),
+    # one norm_stats entry per input and output column
+    @given(layer_stacks(DIMS), arrays(np.float64, (8,), elements=VALUES),
+           arrays(np.float64, (8,), elements=POSITIVE),
            st.integers(0, 2 ** 63 - 1), st.one_of(st.none(), VALUES))
     def test_round_trip_exact_and_redump_identical(self, layers, mean, std,
                                                    seed, final_loss):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from armcal import _kernel_py
 from armcal.plant import (JointState, ParamBounds, PhysParams, PlantConfig, fk,
                           fk_positions, rollout_batch, step_batch,
                           step_batch_sensitivities)
@@ -127,6 +130,67 @@ class TestSensitivities:
         # the same check at drawn rows, parameters anywhere in the bounds
         u, q, qd, target = drawn
         self._check(ParamBounds().from_unit(u), q, qd, target, PlantConfig())
+
+
+def kernel_run(B, N, sens, seed=0, row=None):
+    """One substep_batch call (5 substeps) on a seeded batch with per-row
+    (f, p, d) drawn over the default bounds; returns q, qd and, with sens,
+    the sensitivities, of every row or only of `row`, which then runs alone."""
+    rng = np.random.default_rng([B, N, seed])
+    q = rng.uniform(-1.0, 1.0, (B, N))
+    qd = rng.normal(0.0, 0.05, (B, N))  # around the friction's tanh scale
+    target = rng.uniform(-np.pi, np.pi, (B, N))
+    fpd = ParamBounds().from_unit(rng.random((B, 3)))
+    inv_inertia = 1.0 / rng.uniform(0.5, 2.0, N)
+    rows = slice(None) if row is None else slice(row, row + 1)
+    q, qd, target, fpd = q[rows], qd[rows], target[rows], fpd[rows]
+    tangents = (np.zeros((3,) + q.shape), np.zeros((3,) + q.shape)) if sens else ()
+    _kernel_py.substep_batch(q, qd, target, *map(np.ascontiguousarray, fpd.T),
+                             inv_inertia, 0.01, 5, 0.01, sens=tangents or None)
+    return [q, qd, *tangents]
+
+
+class TestKernelBits:
+    """The kernel's arithmetic, pinned bit for bit: sha256 of q, qd (and sq,
+    sqd with sensitivities) after one call, per (B, N, sensitivities)."""
+
+    DIGESTS = {
+        (1, 1, False): "eebe1dc8d75466e1097ab3e76bfcb2a410cbf481bc0289947e7c756b1c11a43e",
+        (1, 1, True): "1452400908aebcabac039a6cc403cf1118210bd4d62d99c19c8a2c469fd40ebc",
+        (1, 2, False): "f2aeeb2ff6e9af071702ea0c8da84f54ff43bd1ec6967c0f3d5c54e324ce45f4",
+        (1, 2, True): "930e93c3eb20013e603677ba9058018bc1173ebba214ba190008a0c40d35bb8f",
+        (1, 7, False): "13530258a27f702d5012e08944a370cd6cc5402707bee9c5c2670ab375439413",
+        (1, 7, True): "ba11403bfccd6f09e40bffa228c665f040a6548e927693a536606cd0fc6ec365",
+        (100, 1, False): "3b5907664ef8fa435f5b9395ee1bff26153f5982bf1fee952efb216e6855f4f9",
+        (100, 1, True): "3e06c5b30fa32f4fd454044037f2cc025b2d3fcf86c650e636eadbfd62f0ac82",
+        (100, 2, False): "3e2385e850616a3ecd9a071eea5cccbcf3f10619da566b243f7de56b1099add4",
+        (100, 2, True): "daf3f7d33fa69bb448b820b808b43b80bc90cc298bfbf7e7de6c99dcab9e585d",
+        (100, 7, False): "65fc096316df109e020f78ba2e86c86174d30b38dca365adf4bd173f8d266072",
+        (100, 7, True): "aea1b5a9d84db0d7aa560f1d837c24cc25355a6ca69f146e0c83d617eb8e679a",
+        (750, 1, False): "9dbde38794eeb110a96aedc91c8bfed83a0d4be4ee5764a2fbf1085c1136cdc9",
+        (750, 1, True): "e2ce77cb64046c22af3a7c08ee730bf0e116390a5c729e9a379c6609385a5fa0",
+        (750, 2, False): "1968b4101a1e7a9fc50fad4a6a8cbaac16a9aa96575741fd713b7b286e0f25e7",
+        (750, 2, True): "7f9713ea93e9344a1c55a224741ea54d5cd536285d27357e64ef88dd5d80610b",
+        (750, 7, False): "ab572299bad9cbe24033cd5350ce3085add7104e9845a4cde5649b8e2fafa09f",
+        (750, 7, True): "1ec45776ede45db9e6f6a0f805da1cd26b03374946538b051eb90f0c7cf28d6e",
+    }
+
+    @pytest.mark.parametrize("sens", [False, True])
+    @pytest.mark.parametrize("N", [1, 2, 7])
+    @pytest.mark.parametrize("B", [1, 100, 750])
+    def test_pinned_digests(self, B, N, sens):
+        h = hashlib.sha256()
+        for a in kernel_run(B, N, sens):
+            h.update(a.tobytes())
+        assert h.hexdigest() == self.DIGESTS[B, N, sens]
+
+    @given(st.integers(2, 40), st.integers(1, 7), st.integers(0, 2 ** 32 - 1),
+           st.data())
+    def test_row_alone_equals_row_in_batch(self, B, N, seed, data):
+        row = data.draw(st.integers(0, B - 1))
+        for alone, batched in zip(kernel_run(B, N, True, seed, row),
+                                  kernel_run(B, N, True, seed)):
+            npt.assert_array_equal(alone, batched[..., row:row + 1, :])
 
 
 class TestFk:
