@@ -30,8 +30,10 @@ def substep_batch(q, qd, target, f, p, d, inv_inertia, dt, n_sub, eps_v,
     # loop over B * N elements rather than B loops over N.
     fc, pc, dc = (np.repeat(v, q.shape[1]).reshape(q.shape) for v in (f, p, d))
     inv_inertia = np.broadcast_to(inv_inertia, q.shape).copy()
+    # Per-substep arrays, allocated once per call and written in place.
+    fric, tau, scratch = np.empty_like(q), np.empty_like(q), np.empty_like(q)
     for _ in range(n_sub):
-        fric = np.tanh(qd / eps_v)
+        np.tanh(np.divide(qd, eps_v, out=fric), out=fric)  # tanh(qd / eps_v)
         if sens is not None:
             sq, sqd = sens
             # d tau / d(f, p, d): the chain through q and qd, then the
@@ -42,6 +44,11 @@ def substep_batch(q, qd, target, f, p, d, inv_inertia, dt, n_sub, eps_v,
             dtau[2] -= qd
             sqd += dt * dtau * inv_inertia
             sq += dt * sqd
-        tau = pc * (target - q) - dc * qd - fc * fric
-        qd += dt * tau * inv_inertia
-        q += dt * qd
+        # tau = p * (target - q) - d * qd - f * fric
+        np.multiply(pc, np.subtract(target, q, out=tau), out=tau)
+        tau -= np.multiply(dc, qd, out=scratch)
+        tau -= np.multiply(fc, fric, out=scratch)
+        # qd += dt * tau * inv_inertia
+        np.multiply(dt, tau, out=tau)
+        qd += np.multiply(tau, inv_inertia, out=tau)
+        q += np.multiply(dt, qd, out=scratch)  # q += dt * qd

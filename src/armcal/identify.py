@@ -9,10 +9,11 @@ sensitivities of the teacher-forced one-step predictions give the exact
 Jacobian of the residuals, so LM needs a few dozen batched kernel calls.
 Annealing pays for a replay at every one of its 400 steps: one batched kernel
 call and the forward kinematics of the predicted poses, scored against
-observed poses computed once. The surrogate route ("surrogate") fits the
-frozen network's one-step residuals and touches the simulator only through
-the dataset that network was trained on beforehand, whose cost
-identification does not pay.
+observed poses computed once. Forward kinematics and the pose errors add
+column by column over all rows, not one short reduction per row. The
+surrogate route ("surrogate") fits the frozen network's one-step residuals
+and touches the simulator only through the dataset that network was trained
+on beforehand, whose cost identification does not pay.
 """
 
 from dataclasses import dataclass, field
@@ -69,6 +70,8 @@ class AnnealConfig:
             raise ValueError("invalid annealing configuration")
         if self.initial_temperature <= 0:
             raise ValueError("temperature must be positive")
+        if not self.proposal_frac > 0:  # <= 0 never moves or flips the sign
+            raise ValueError("proposal_frac must be positive")
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,11 @@ def _pose_errors(pred, obs):
     """planar_pose_errors between two (positions, angles) pairs of
     fk_positions."""
     (pos_p, ang_p), (pos_o, ang_o) = pred, obs
-    trans = float(np.mean(np.linalg.norm(pos_p - pos_o, axis=1)))
+    # the Euclidean norm of each row, its three squares added column by
+    # column in the order of numpy's reduction along the row
+    sq = pos_p - pos_o
+    sq *= sq
+    trans = float(np.mean(np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])))
     arg = np.clip(np.abs(np.sin((ang_p - ang_o) / 2.0)), 0.0, 1.0)
     rot = float(np.mean(np.arcsin(arg)))
     return trans, rot

@@ -216,30 +216,35 @@ def _substeps(params_fpd, q, qd, target, cfg, sens=None):
 
 
 def fk(q, cfg: PlantConfig) -> EePose:
-    """Planar forward kinematics: cumulative joint angles along the chain."""
+    """Planar forward kinematics of one (N,) joint configuration."""
     q = np.asarray(q, dtype=float)
     if q.shape != (cfg.n_joints,):
         raise ValueError("fk: wrong joint dimension")
     if not np.all(np.isfinite(q)):
         raise ValueError("fk: non-finite input")
-    theta = np.cumsum(q)
-    L = np.asarray(cfg.link_lengths)
-    x = np.array([np.sum(L * np.cos(theta)), np.sum(L * np.sin(theta)), 0.0])
-    return EePose(x, _rot_z(theta[-1]))
+    pos, ang = fk_positions(q[None], cfg)
+    return EePose(pos[0], _rot_z(ang[0]))
 
 
 def fk_positions(q_seq, cfg: PlantConfig):
-    """Vectorized fk over a (T, N) array of joint angles.
+    """Planar forward kinematics over a (T, N) array of joint angles:
+    cumulative joint angles along the chain.
 
-    Returns positions (T, 3) and terminal cumulative angles (T,).
+    Returns positions (T, 3) and terminal cumulative angles (T,). The sums
+    run joint by joint over whole columns, in the order of numpy's own
+    reductions along the joint axis for N < 8.
     """
     q_seq = np.asarray(q_seq, dtype=float)
-    theta = np.cumsum(q_seq, axis=1)
-    L = np.asarray(cfg.link_lengths)
-    xy = np.stack([np.sum(L * np.cos(theta), axis=1),
-                   np.sum(L * np.sin(theta), axis=1)], axis=1)
-    pos = np.concatenate([xy, np.zeros((len(q_seq), 1))], axis=1)
-    return pos, theta[:, -1]
+    if q_seq.ndim != 2 or q_seq.shape[1] != cfg.n_joints:
+        raise ValueError("fk_positions: wrong joint dimension")
+    theta = q_seq[:, 0].copy()
+    pos = np.zeros((len(q_seq), 3))
+    for j, length in enumerate(cfg.link_lengths):
+        if j:
+            theta += q_seq[:, j]
+        pos[:, 0] += length * np.cos(theta)
+        pos[:, 1] += length * np.sin(theta)
+    return pos, theta
 
 
 def _rot_z(angle):

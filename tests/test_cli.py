@@ -127,6 +127,8 @@ class TestExitCodes:
         "tpo.beta=NaN",
         "refine.convergence_tol=NaN",
         "anneal.initial_temperature=Infinity",
+        "anneal.proposal_frac=0",  # AnnealConfig: SA would never move
+        "anneal.proposal_frac=-1",
         "plant.dt=NaN",
         "surrogate.max_epochs=0",  # TrainConfig: no loss to report
         # PlantConfig: geometry must be finite
@@ -353,6 +355,16 @@ class TestPipeline:
         capsys.readouterr()
         assert run(tmp_path, "identify", "--method", "surrogate") == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "identified_params.json").exists()
+
+    @pytest.mark.parametrize("frac", ["0", "-1"])
+    def test_sa_rejects_a_proposal_frac_that_is_not_positive(self, tmp_path,
+                                                            capsys, frac):
+        assert run(tmp_path, "datagen") == 0
+        capsys.readouterr()
+        assert run(tmp_path, "--set", f"anneal.proposal_frac={frac}",
+                   "identify", "--method", "sa") == 2
+        assert "invalid anneal config" in capsys.readouterr().err
         assert not (tmp_path / "identified_params.json").exists()
 
     def test_holdout_must_leave_an_episode_to_fit(self, tmp_path):

@@ -15,7 +15,70 @@ BOUNDS = ParamBounds()
 CFG = PlantConfig()
 
 
+def pose_error_input(T, N):
+    """Seeded link lengths and two (T, N) joint-angle sequences over a full
+    turn, with rows of exact zeros and rows of zero error."""
+    rng = np.random.default_rng([T, N, 0])
+    cfg = PlantConfig(n_joints=N, link_lengths=tuple(rng.uniform(0.5, 1.5, N)))
+    qa = rng.uniform(-np.pi, np.pi, (T, N))
+    qa[1::4] = 0.0
+    qa[3::8] = -0.0
+    qb = qa + np.random.default_rng([T, N, 1]).normal(0.0, 0.1, qa.shape)
+    qb[1::4] = 0.0
+    qb[2::4] = 0.0
+    return cfg, qa, qb
+
+
+def sequential_pose_errors(qa, qb, cfg):
+    """planar_pose_errors with every sum taken one term after another."""
+    def fk_xy(q):
+        theta = np.cumsum(q, axis=1)
+        x, y = np.zeros(len(q)), np.zeros(len(q))
+        for j, length in enumerate(cfg.link_lengths):
+            x = x + length * np.cos(theta[:, j])
+            y = y + length * np.sin(theta[:, j])
+        return x, y, theta[:, -1]
+
+    (xa, ya, aa), (xb, yb, ab) = fk_xy(qa), fk_xy(qb)
+    dx, dy = xa - xb, ya - yb
+    trans = float(np.mean(np.sqrt(dx * dx + dy * dy)))
+    rot = float(np.mean(np.arcsin(np.clip(np.abs(np.sin((aa - ab) / 2.0)),
+                                          0.0, 1.0))))
+    return trans, rot
+
+
 class TestPlanarPoseErrors:
+    # planar_pose_errors on pose_error_input(T, N), as computed by the
+    # earlier implementation that reduced along the joint and coordinate
+    # axes with np.sum and np.linalg.norm: the column-by-column sums must
+    # not move a bit
+    PINNED = {
+        (1, 1): (0.0328285248147247, 0.019732987747521413),
+        (1, 50): (0.534078878597037, 0.2669687490457248),
+        (1, 750): (0.2597772902533264, 0.20148819419511987),
+        (2, 1): (0.156771055930443, 0.06691607944362765),
+        (2, 50): (0.7916499561184857, 0.16468730665700076),
+        (2, 750): (0.8013212453775501, 0.2235583102250228),
+        (3, 1): (0.09342319199600879, 0.006544624574500224),
+        (3, 50): (1.0016382007921107, 0.2510710661143168),
+        (3, 750): (1.1167317509783312, 0.23813230755031292),
+        (7, 1): (0.28448327215337904, 0.13697832155921175),
+        (7, 50): (1.9341686606829769, 0.2637534177292169),
+        (7, 750): (2.2316017848618186, 0.2580957611139522),
+    }
+
+    @pytest.mark.parametrize("T", [1, 50, 750])
+    @pytest.mark.parametrize("N", [1, 2, 3, 7])
+    def test_pinned_floats(self, N, T):
+        cfg, qa, qb = pose_error_input(T, N)
+        assert planar_pose_errors(qa, qb, cfg) == self.PINNED[N, T]
+
+    @pytest.mark.parametrize("N", [8, 12])
+    def test_long_chains_sum_term_by_term(self, N):
+        cfg, qa, qb = pose_error_input(50, N)
+        assert (planar_pose_errors(qa, qb, cfg)
+                == sequential_pose_errors(qa, qb, cfg))
+
     def test_matches_matrix_metrics(self):
         # the sin identity shortcut must agree with the full SO(3) metric
         rng = np.random.default_rng(0)
@@ -300,6 +363,9 @@ class TestAnneal:
             AnnealConfig(cooling_gamma=1.0)
         with pytest.raises(ValueError):
             AnnealConfig(initial_temperature=0.0)
+        for frac in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="proposal_frac"):
+                AnnealConfig(proposal_frac=frac)
 
 
 class TestGaussNewton:

@@ -192,8 +192,66 @@ class TestKernelBits:
                                   kernel_run(B, N, True, seed)):
             npt.assert_array_equal(alone, batched[..., row:row + 1, :])
 
+    @given(st.integers(1, 40), st.integers(1, 7), st.integers(0, 2 ** 32 - 1),
+           st.booleans())
+    def test_writes_only_its_state(self, B, N, seed, sens):
+        # the kernel writes into arrays of its own with out=; its inputs
+        # other than the state (and tangents) must keep every bit
+        rng = np.random.default_rng(seed)
+        q = rng.uniform(-1.0, 1.0, (B, N))
+        qd = rng.normal(0.0, 0.05, (B, N))
+        inputs = [rng.uniform(-np.pi, np.pi, (B, N)),
+                  *map(np.ascontiguousarray, ParamBounds().from_unit(
+                      rng.random((B, 3))).T),
+                  1.0 / rng.uniform(0.5, 2.0, N)]
+        before = [a.copy() for a in inputs]
+        tangents = (np.zeros((3, B, N)), np.zeros((3, B, N))) if sens else None
+        _kernel_py.substep_batch(q, qd, *inputs, 0.01, 5, 0.01, sens=tangents)
+        for a, b in zip(inputs, before):
+            assert a.tobytes() == b.tobytes()
+
+
+def fk_input(T, N):
+    """Seeded link lengths and (T, N) joint angles over a full turn, with
+    rows of exact zeros of both signs."""
+    rng = np.random.default_rng([T, N, 0])
+    cfg = PlantConfig(n_joints=N, link_lengths=tuple(rng.uniform(0.5, 1.5, N)))
+    q = rng.uniform(-np.pi, np.pi, (T, N))
+    q[1::4] = 0.0
+    q[3::8] = -0.0
+    return cfg, q
+
+
+def sequential_fk(q, cfg):
+    """Forward kinematics with every sum taken one joint after another,
+    from zero: numpy's own order along the joint axis for N < 8."""
+    theta = np.cumsum(q, axis=1)
+    x, y = np.zeros(len(q)), np.zeros(len(q))
+    for j, length in enumerate(cfg.link_lengths):
+        x = x + length * np.cos(theta[:, j])
+        y = y + length * np.sin(theta[:, j])
+    return np.stack([x, y, np.zeros(len(q))], axis=1), theta[:, -1]
+
 
 class TestFk:
+    # sha256 of fk_positions' positions and angles on fk_input(T, N), as
+    # computed by the earlier implementation that summed along the joint
+    # axis with np.sum: the joint-by-joint sums must not move a bit
+    DIGESTS = {
+        (1, 1): "6642ed504db2d8663159e907734eafe98a33e5f715c561caf3c21caf3b2ca2ae",
+        (1, 50): "fcfe4385ebb2ed9ba65f760341c9abdb9c3a7841a4a6314b3d75311cfbc98fd4",
+        (1, 750): "8aefc2106d7d13604a5e207bc1716b71d0b80788bd2aaf33dd3eb86643314c5b",
+        (2, 1): "c36608f8f9ba8dfc4c5c6113de1c1388a0766821b072184f5d87aa6082e5fd2f",
+        (2, 50): "ea837d004151296cc1fba961298e6847d76c908fda26834c387b1fa115116a00",
+        (2, 750): "bf853928381696512694cbeb9c7694c624c5f3f30325546640357fc62a206bdb",
+        (3, 1): "154056414da9c741c2b2057aef74306d4ed5c20e79911bb7127d3ce4c53cdbe3",
+        (3, 50): "0ef3938a7d7bd1623f8ae27a44f16596f81d2dd8713e8db0a295daf0bee8e401",
+        (3, 750): "bb3dba446bf8a7deb95911175139ef00de8c79341ffc9965d0fad744d8384c2a",
+        (7, 1): "a2273f75cae4b0496562dfaf75593931b10a87d7f323ea6d58c1ded10ca84c20",
+        (7, 50): "7e1ca55877cbe537c6130c97ee612b87f37ecaf63612a8b51693cb8f085de530",
+        (7, 750): "2ba6650f0da6b91ce43813c3f921b4ef091d18e0e998504081a7d1375293fd9b",
+    }
+
     def test_straight_arm(self):
         pose = fk([0.0, 0.0], PlantConfig())
         npt.assert_allclose(pose.x, [2.0, 0.0, 0.0], atol=1e-15)
@@ -217,6 +275,37 @@ class TestFk:
             R = fk(q, cfg).R
             assert np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-12
             assert abs(np.linalg.det(R) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("T", [1, 50, 750])
+    @pytest.mark.parametrize("N", [1, 2, 3, 7])
+    def test_pinned_digests(self, N, T):
+        cfg, q = fk_input(T, N)
+        h = hashlib.sha256()
+        for a in fk_positions(q, cfg):
+            h.update(a.tobytes())
+        assert h.hexdigest() == self.DIGESTS[N, T]
+
+    @pytest.mark.parametrize("N", [8, 12])
+    def test_long_chains_sum_joint_by_joint(self, N):
+        # from 8 terms np.sum adds pairwise; fk_positions stays sequential
+        cfg, q = fk_input(50, N)
+        for got, want in zip(fk_positions(q, cfg), sequential_fk(q, cfg)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_fk_is_a_row_of_fk_positions(self, N):
+        cfg, q = fk_input(20, N)
+        pos, ang = fk_positions(q, cfg)
+        for t in range(len(q)):
+            pose = fk(q[t], cfg)
+            assert pose.x.tobytes() == pos[t].tobytes()
+            assert (pose.R[0, 0], pose.R[1, 0]) == (np.cos(ang[t]), np.sin(ang[t]))
+
+    def test_fk_positions_rejects_wrong_joint_count(self):
+        with pytest.raises(ValueError, match="joint dimension"):
+            fk_positions(np.zeros((4, 3)), PlantConfig())
+        with pytest.raises(ValueError, match="joint dimension"):
+            fk_positions(np.zeros(2), PlantConfig())
 
 
 class TestRollout:
