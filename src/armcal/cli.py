@@ -130,6 +130,8 @@ def load_config(args):
             user = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise UsageError(f"invalid config JSON: {exc}")
+        if not isinstance(user, dict):
+            raise UsageError(f"config file {path} must hold a JSON object")
         config = _merge(config, user)
     for assignment in args.set or []:
         _apply_set(config, assignment)
@@ -162,8 +164,8 @@ def _check_unbacked(config):
     if not 0 <= config["holdout_fraction"] < 1:
         raise UsageError(f"holdout_fraction must be in [0, 1), "
                          f"got {config['holdout_fraction']!r}")
-    if config["tpo"]["exploration_std"] < 0:  # finite, as every float key
-        raise UsageError("tpo.exploration_std must be >= 0, "
+    if config["tpo"]["exploration_std"] <= 0:  # finite, as every float key
+        raise UsageError("tpo.exploration_std must be positive, "
                          f"got {config['tpo']['exploration_std']!r}")
 
 
@@ -187,7 +189,7 @@ def build_stages(config):
             values = {f.name: config[name][f.name] for f in _class_fields(cls)}
             if cls is PlantConfig:  # JSON lists to the tuples it holds
                 for k in ("link_lengths", "inertias"):
-                    values[k] = tuple(values[k]) if values[k] else None
+                    values[k] = None if values[k] is None else tuple(values[k])
             stages[name] = cls(**values, **set_by_cli.get(name, {}))
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise UsageError(f"invalid {name} config: {exc}")

@@ -43,7 +43,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     batch_size: int = 256
     max_epochs: int = 800
-    early_stop_loss: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -224,8 +223,7 @@ def train(model: MlpCheckpoint, data, cfg: TrainConfig) -> MlpCheckpoint:
     the (M, 3 + 5N) transition matrix `data`; model.norm_stats must be set.
 
     The step size decays by LR_DECAY per epoch, whatever max_epochs is.
-    Stops after max_epochs, or earlier once an epoch's loss is at most
-    early_stop_loss; training_meta["stop_reason"] names the stop.
+    Runs max_epochs epochs; training_meta["stop_reason"] is "max_epochs".
     Deterministic under cfg.seed.
     """
     if len(data) < 1:
@@ -241,7 +239,6 @@ def train(model: MlpCheckpoint, data, cfg: TrainConfig) -> MlpCheckpoint:
     ws = workspace(model.layer_dims, min(cfg.batch_size, len(X)))
     t = 0
     history = []
-    stop_reason = "max_epochs"
     for epoch in range(cfg.max_epochs):
         lr = cfg.learning_rate * LR_DECAY ** epoch
         order = rng.permutation(len(X))
@@ -257,15 +254,11 @@ def train(model: MlpCheckpoint, data, cfg: TrainConfig) -> MlpCheckpoint:
             losses += loss * len(idx)
             t += 1
             adam_step(arrays, dWs + dbs, m, v, t, lr)
-        epoch_loss = losses / len(X)
-        history.append(epoch_loss)
-        if epoch_loss <= cfg.early_stop_loss:
-            stop_reason = "early_stop_loss"
-            break
+        history.append(losses / len(X))
     model.training_meta = {
         "epochs_run": len(history),
         "final_loss": history[-1],
-        "stop_reason": stop_reason,
+        "stop_reason": "max_epochs",
         "loss_history": history,
     }
     return model
@@ -308,23 +301,10 @@ def make_param_residuals(model, state_sa, next_raw):
     return residuals
 
 
-def make_param_objective(model, state_sa, next_raw):
-    """L_para, the mean over rows of the squared residuals of
-    make_param_residuals, which takes the same arguments. Returns
-    objective(fpd_row, grad=True): the loss from a forward pass alone, or
-    with grad (loss, (3,) gradient in ParamBounds.to_unit coordinates)."""
-    residuals, B = make_param_residuals(model, state_sa, next_raw), len(state_sa)
-
-    def objective(fpd_row, grad=True):
-        if not grad:
-            r = residuals(fpd_row, jac=False)
-            return float(r @ r) / B
-        r, J = residuals(fpd_row)
-        return float(r @ r) / B, (2.0 / B) * (r @ J)
-
-    return objective
-
-
 def param_loss_and_grad(model, fpd_row, state_sa, next_raw):
-    """make_param_objective's (loss, gradient), for one parameter row."""
-    return make_param_objective(model, state_sa, next_raw)(fpd_row)
+    """L_para at one parameter row, the mean over rows of the squared
+    residuals of make_param_residuals (same rows), and its (3,) gradient in
+    ParamBounds.to_unit coordinates."""
+    r, J = make_param_residuals(model, state_sa, next_raw)(fpd_row)
+    B = len(state_sa)
+    return float(r @ r) / B, (2.0 / B) * (r @ J)

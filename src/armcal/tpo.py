@@ -13,10 +13,9 @@ Trajectory log-probability is the negative half sum of squared differences
 between the policy's mean actions and the actions actually executed.
 
 That sum leaves out the 1/sigma^2 of the Gaussian exploration noise
-(sigma = exploration_std), so the default beta = 1/sigma^2 puts it back:
-beta * delta is then the Gaussian log-likelihood ratio. beta does not follow
-sigma on its own; a run that changes tpo.exploration_std should rescale
-tpo.beta with it.
+(sigma = exploration_std, which must be positive), so a cycle trains with
+beta = 1/sigma^2 of the policy whose noise drew its rollouts: beta * delta
+is then the Gaussian log-likelihood ratio.
 
 A cycle works on rollout arrays throughout: B rollouts advance in lockstep,
 one policy forward over all B states and one batch-B plant step per time
@@ -73,9 +72,6 @@ class PreferencePair:
 
 @dataclass(frozen=True)
 class TpoConfig:
-    # 1/sigma^2 makes beta * delta the Gaussian log-likelihood ratio at the
-    # default exploration noise; see the module docstring
-    beta: float = 1.0 / PolicyNet.exploration_std ** 2
     m: int = 25
     epochs_per_cycle: int = 40
     cycles: int = 5
@@ -85,8 +81,6 @@ class TpoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.rollout_horizon < 1:
@@ -307,7 +301,11 @@ def _spawn_rngs(seed_seq, n):
 def tpo_cycle(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
               plant_cfg: PlantConfig, cycle_index=0, seed_seq=None):
     """One fine-tuning cycle: freeze reference, roll out a batch, rank, run
-    epochs_per_cycle gradient steps on the preference loss."""
+    epochs_per_cycle gradient steps on the preference loss at
+    beta = 1/sigma^2, sigma the policy's exploration noise."""
+    if not policy.exploration_std > 0:
+        raise ValueError("exploration_std must be positive")
+    beta = 1.0 / policy.exploration_std ** 2
     if seed_seq is None:
         seed_seq = np.random.SeedSequence((cfg.seed, cycle_index))
     goal = np.asarray(goal, dtype=float)
@@ -329,7 +327,7 @@ def tpo_cycle(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
     v = [np.zeros_like(a) for a in arrays]
     losses = []
     for t in range(1, cfg.epochs_per_cycle + 1):
-        loss, dWs, dbs = _pair_loss(policy, rows, cfg.beta, ws)
+        loss, dWs, dbs = _pair_loss(policy, rows, beta, ws)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite preference loss in cycle {cycle_index}")
         losses.append(loss)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from armcal import cli, serialize, tpo
+from armcal import cli, serialize
 from armcal.cli import default_config, main
 
 FAST = [
@@ -26,6 +26,27 @@ FAST = [
     "--set", "tpo.epochs_per_cycle=2",
     "--set", "tpo.cycles=2",
     "--set", "tpo.rollout_horizon=3",
+]
+
+
+# every dotted leaf key of the default config tree, sorted
+DEFAULT_LEAF_KEYS = [
+    "anneal.cooling_gamma", "anneal.initial_temperature",
+    "anneal.proposal_frac", "anneal.steps",
+    "bounds.d", "bounds.f", "bounds.p",
+    "datagen.horizon", "datagen.n_episodes", "datagen.n_param_sets",
+    "datagen.truth",
+    "holdout_fraction", "output_dir",
+    "plant.dt", "plant.friction_smoothing", "plant.inertias",
+    "plant.link_lengths", "plant.n_joints", "plant.obs_noise_std",
+    "plant.substeps_per_action",
+    "refine.convergence_tol", "refine.max_steps",
+    "run_seed",
+    "surrogate.batch_size", "surrogate.hidden_width",
+    "surrogate.learning_rate", "surrogate.max_epochs",
+    "tpo.cycles", "tpo.epochs_per_cycle", "tpo.exploration_std", "tpo.goal",
+    "tpo.learning_rate", "tpo.m", "tpo.rollout_horizon",
+    "tpo.rollouts_per_cycle",
 ]
 
 
@@ -45,6 +66,15 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["--config", str(bad), "datagen"]) == 2
+
+    @pytest.mark.parametrize("doc", ["[1,2]", '"x"', "3"])
+    def test_usage_error_config_file_not_an_object(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        assert main(["--config", str(cfg), "--out", str(tmp_path),
+                     "datagen"]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "episodes.json").exists()
 
     def test_usage_error_missing_inputs(self, tmp_path):
         assert run(tmp_path, "train-surrogate") == 2  # no episodes yet
@@ -96,7 +126,7 @@ class TestExitCodes:
         assert main(["--config", str(cfg), "--out", str(tmp_path), "datagen"]) == 2
 
     @pytest.mark.parametrize("assignment", [
-        "tpo.beta=0",  # TpoConfig: beta must be positive
+        "tpo.exploration_std=0",  # TPO's beta is 1 / exploration_std ** 2
         "surrogate.batch_size=0",  # TrainConfig
         "anneal.cooling_gamma=1",  # AnnealConfig
         "plant.dt=0",  # PlantConfig
@@ -124,7 +154,7 @@ class TestExitCodes:
         "datagen.truth=[1.0,-2.0,3.0]",
         'datagen.truth=[1.0,"2",3.0]',
         # a float key takes no NaN or infinity
-        "tpo.beta=NaN",
+        "tpo.exploration_std=NaN",
         "refine.convergence_tol=NaN",
         "anneal.initial_temperature=Infinity",
         "anneal.proposal_frac=0",  # AnnealConfig: SA would never move
@@ -134,6 +164,12 @@ class TestExitCodes:
         # PlantConfig: geometry must be finite
         "plant.link_lengths=[1,NaN]",
         "plant.inertias=[1,Infinity]",
+        # only null means unit links: not an empty list, nor a non-list
+        "plant.link_lengths=[]",
+        "plant.inertias=[]",
+        "plant.link_lengths=0",
+        "plant.inertias=false",
+        'plant.link_lengths="ab"',
         "surrogate.hidden_width=0",  # no layer to build
         "run_seed=-1",  # no seed sequence to derive
         "bounds.f=[-5,10]",  # ParamBounds: its points must be valid params
@@ -143,7 +179,6 @@ class TestExitCodes:
         assert main(["--out", str(tmp_path), *FAST, "--set", assignment,
                      "datagen"]) == 2
         assert not (tmp_path / "episodes.json").exists()
-
 
 class TestDatagen:
     def test_artifacts_and_row_count(self, tmp_path):
@@ -357,6 +392,15 @@ class TestPipeline:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "identified_params.json").exists()
 
+    def test_tpo_rejects_zero_exploration_noise(self, tmp_path, capsys):
+        # TPO's beta is 1 / exploration_std ** 2: zero noise is a usage error
+        assert run(tmp_path, "datagen") == 0
+        assert run(tmp_path, "identify", "--method", "grad") == 0
+        capsys.readouterr()
+        assert run(tmp_path, "--set", "tpo.exploration_std=0", "tpo") == 2
+        assert "tpo.exploration_std must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "tpo_report.jsonl").exists()
+
     @pytest.mark.parametrize("frac", ["0", "-1"])
     def test_sa_rejects_a_proposal_frac_that_is_not_positive(self, tmp_path,
                                                             capsys, frac):
@@ -499,12 +543,13 @@ class TestConfigPlumbing:
             return serialize.config_hash(cli.load_config(args))
 
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tpo": {"beta": 0.2}}))
-        want = config_hash("--set", "tpo.beta=0.2")
-        assert config_hash("--set", 'tpo={"beta":0.2}') == want
+        cfg.write_text(json.dumps({"tpo": {"learning_rate": 0.001}}))
+        want = config_hash("--set", "tpo.learning_rate=0.001")
+        assert config_hash("--set", 'tpo={"learning_rate":0.001}') == want
         assert config_hash("--config", str(cfg)) == want
         assert want != config_hash()
-        assert run(tmp_path, "--set", 'tpo={"beta":0.2}', "datagen") == 0
+        assert run(tmp_path, "--set", 'tpo={"learning_rate":0.001}',
+                   "datagen") == 0
 
     def test_unknown_file_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -521,13 +566,18 @@ class TestConfigPlumbing:
         assert json.dumps(default_config(), sort_keys=True) == before
 
     def test_default_config_hash_pinned(self):
-        # the CLI keys and their defaults, read off the config classes
-        assert serialize.config_hash(default_config()) == \
-            "061b129c7d0fe5c9073c04e595df8e33c9a40bd92797a105f2c1c825afffc58d"
+        # the CLI keys and their defaults, read off the config classes; the
+        # keys are pinned first, so that a re-pin shows which came or went
+        def leaves(tree, prefix=""):
+            for k, v in tree.items():
+                if isinstance(v, dict):
+                    yield from leaves(v, f"{prefix}{k}.")
+                else:
+                    yield prefix + k
 
-    def test_default_beta_is_inverse_exploration_variance(self):
-        assert default_config()["tpo"]["beta"] == \
-            1 / tpo.PolicyNet.exploration_std ** 2
+        assert sorted(leaves(default_config())) == DEFAULT_LEAF_KEYS
+        assert serialize.config_hash(default_config()) == \
+            "269416117595384752ac623fad1e636225223418f37aba7d13334ac2adbc5e3d"
 
     def test_int_accepted_for_float_key(self, tmp_path):
         assert run(tmp_path, "--set", "plant.obs_noise_std=0", "datagen") == 0

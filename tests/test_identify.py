@@ -205,17 +205,21 @@ class TestRefine:
         # the result is at most 1e-6 of the one at the best-sampled start
         model, eps, candidates = trained_surrogate()
         q, qd, acts, nq, nqd = datagen.episode_arrays(eps)
-        loss = surrogate.make_param_objective(
+        residuals = surrogate.make_param_residuals(
             model, np.hstack([q, qd, acts]), np.hstack([nq, nqd]))
 
+        def loss(fpd):
+            r = residuals(fpd, jac=False)
+            return float(r @ r) / len(q)
+
         def projected_gradient(u, h=1e-6):
-            g = np.array([(loss(BOUNDS.from_unit(u + h * e), grad=False)
-                           - loss(BOUNDS.from_unit(u - h * e), grad=False)) / (2 * h)
+            g = np.array([(loss(BOUNDS.from_unit(u + h * e))
+                           - loss(BOUNDS.from_unit(u - h * e))) / (2 * h)
                           for e in np.eye(3)])
             return np.where(((u <= 0.0) & (g > 0)) | ((u >= 1.0) & (g < 0)), 0.0, g)
 
         start = candidates[int(np.argmin(
-            [loss(c.as_array(), grad=False) for c in candidates]))]
+            [loss(c.as_array()) for c in candidates]))]
         got, curve = refine_params(model, eps, RefineConfig(bounds=BOUNDS),
                                    candidates)
         g_start = projected_gradient(BOUNDS.to_unit(start.as_array()))

@@ -13,8 +13,8 @@ from armcal.surrogate import (ADAM_EPS, MlpCheckpoint, TrainConfig,
                               TrainingDiverged, adam_step, backprop,
                               backward_from_delta, build_input,
                               default_layer_dims, forward_normalized, init,
-                              make_param_objective, make_param_residuals,
-                              param_loss_and_grad, train, workspace)
+                              make_param_residuals, param_loss_and_grad,
+                              train, workspace)
 
 BOUNDS = ParamBounds()
 N = 2  # joints used throughout
@@ -324,34 +324,43 @@ class TestWorkspacePasses:
 
     def test_objective_keeps_no_state_between_calls(self):
         model, state_sa, next_raw = self.objective_case()
-        objective = make_param_objective(model, state_sa, next_raw)
+        residuals = make_param_residuals(model, state_sa, next_raw)
         a, b = np.array([3.0, 150.0, 12.0]), np.array([8.0, 40.0, 1.0])
-        loss_a, grad_a = objective(a)
-        loss_b, grad_b = objective(b)
-        assert loss_b != loss_a
-        loss_a2, grad_a2 = objective(a)
-        assert loss_a2 == loss_a
-        assert np.array_equal(grad_a2, grad_a)
-        assert objective(a, grad=False) == loss_a
-        assert objective(b, grad=False) == loss_b
-        # a fresh closure and the one-call wrapper agree bit for bit
+        r_a, J_a = residuals(a)
+        r_b, J_b = residuals(b)
+        assert not np.array_equal(r_b, r_a)
+        r_a2, J_a2 = residuals(a)
+        assert np.array_equal(r_a2, r_a)
+        assert np.array_equal(J_a2, J_a)
+        # the forward pass alone gives the same residuals
+        assert np.array_equal(residuals(a, jac=False), r_a)
+        assert np.array_equal(residuals(b, jac=False), r_b)
+        # param_loss_and_grad is their mean square and its gradient, bit for bit
+        B = len(state_sa)
         loss_w, grad_w = param_loss_and_grad(model, b, state_sa, next_raw)
-        assert loss_w == loss_b and np.array_equal(grad_w, grad_b)
+        assert loss_w == float(r_b @ r_b) / B
+        assert np.array_equal(grad_w, (2.0 / B) * (r_b @ J_b))
 
     def test_objective_gradient_matches_fd(self):
+        # param_loss_and_grad's gradient against central differences of the
+        # loss from the forward-only residuals
         model, state_sa, next_raw = self.objective_case()
-        objective = make_param_objective(model, state_sa, next_raw)
+        residuals = make_param_residuals(model, state_sa, next_raw)
         fpd = np.array([3.0, 150.0, 12.0])
-        _, g = objective(fpd)
+        _, g = param_loss_and_grad(model, fpd, state_sa, next_raw)
         u = BOUNDS.to_unit(fpd)
-        fd = central_fd(lambda: objective(BOUNDS.from_unit(u), grad=False), u,
-                        eps=1e-7)
+
+        def loss_at_u():
+            r = residuals(BOUNDS.from_unit(u), jac=False)
+            return float(r @ r) / len(state_sa)
+
+        fd = central_fd(loss_at_u, u, eps=1e-7)
         for k in range(3):
             denom = max(abs(fd[k]), abs(g[k]), 1e-8)
             assert abs(g[k] - fd[k]) / denom <= 1e-4
 
     def test_objective_workspace_holds_no_weight_grads(self, monkeypatch):
-        # the objective's workspace has no weight-gradient buffers, and its
+        # the residuals' workspace has no weight-gradient buffers, and its
         # values are the bits of one that has them
         model, state_sa, next_raw = self.objective_case()
         fpds = [np.array([3.0, 150.0, 12.0]), np.array([8.0, 40.0, 1.0])]
@@ -362,17 +371,17 @@ class TestWorkspacePasses:
             return built[-1]
 
         monkeypatch.setattr(surrogate, "workspace", recording_workspace)
-        objective = make_param_objective(model, state_sa, next_raw)
-        lean = [objective(fpd) for fpd in fpds]
+        residuals = make_param_residuals(model, state_sa, next_raw)
+        lean = [residuals(fpd) for fpd in fpds]
         assert len(built) == 1
         assert built[0].dWs is None and built[0].dbs is None
         monkeypatch.setattr(surrogate, "workspace",
                             lambda layer_dims, rows, weight_grads=True:
                             make(layer_dims, rows))
-        objective = make_param_objective(model, state_sa, next_raw)
-        for (loss, grad), fpd in zip(lean, fpds):
-            full_loss, full_grad = objective(fpd)
-            assert loss == full_loss and np.array_equal(grad, full_grad)
+        residuals = make_param_residuals(model, state_sa, next_raw)
+        for (r, J), fpd in zip(lean, fpds):
+            full_r, full_J = residuals(fpd)
+            assert np.array_equal(r, full_r) and np.array_equal(J, full_J)
 
 
 class TestTraining:
@@ -408,25 +417,9 @@ class TestTraining:
         assert out[0].training_meta["loss_history"] == \
             out[1].training_meta["loss_history"]
 
-    def test_early_stop_on_trivial_target(self):
-        # targets equal to the skip-connection baseline: the zero function is
-        # optimal and the loss threshold triggers almost immediately
-        rng = np.random.default_rng(0)
-        data = rng.normal(size=(400, 13))
-        data[:, 9:13] = data[:, 3:7]  # next state == current state
-        stats = compute_norm_stats(data)
-        model = init(default_layer_dims(N, hidden=8), 2, norm_stats=stats,
-                     bounds=BOUNDS)
-        for w in model.weights:
-            w *= 1e-4
-        model = train(model, data, TrainConfig(max_epochs=500, seed=0,
-                                               early_stop_loss=1e-6))
-        assert model.training_meta["stop_reason"] == "early_stop_loss"
-        assert model.training_meta["final_loss"] <= 1e-6
-
     def test_flat_loss_trains_to_its_budget(self):
         # with a zero step the loss never moves, and nothing but max_epochs
-        # (or early_stop_loss, not reached here) ends training
+        # ends training
         data = self.small_dataset()
         model = init(default_layer_dims(N, hidden=8), 0,
                      norm_stats=compute_norm_stats(data), bounds=BOUNDS)

@@ -11,8 +11,8 @@ import pytest
 from armcal import cli, plant, surrogate, tpo
 from armcal.plant import (Action, JointState, PhysParams, PlantConfig,
                           Trajectory, fk)
-from armcal.tpo import (CycleReport, PolicyNet, PreferencePair,
-                        RankedTrajectory, TpoConfig, _obs_rows, _pair_loss,
+from armcal.tpo import (CycleReport, PreferencePair, RankedTrajectory,
+                        TpoConfig, _obs_rows, _pair_loss,
                         _pair_order, _pair_rows, _rollout_arrays, _sigmoid,
                         _spawn_rngs, init_policy, policy_means, rank_and_pair,
                         rollout_policy, run_tpo, tpo_cycle, tpo_delta,
@@ -306,8 +306,6 @@ class TestCycles:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TpoConfig(beta=0.0)
-        with pytest.raises(ValueError):
             TpoConfig(m=10, rollouts_per_cycle=19)
         for bad in ({"epochs_per_cycle": 0}, {"learning_rate": 0.0},
                     {"learning_rate": -1.0}, {"learning_rate": float("nan")}):
@@ -315,10 +313,33 @@ class TestCycles:
                 TpoConfig(**bad)
 
 
-class TestDefaults:
-    def test_beta_is_inverse_exploration_variance(self):
-        assert TpoConfig().beta == 1 / PolicyNet.exploration_std ** 2
+class TestBeta:
+    """A cycle's beta is 1/sigma^2 of the noise that drew its rollouts."""
+    CFG = TpoConfig(m=2, rollouts_per_cycle=6, epochs_per_cycle=3, cycles=1,
+                    rollout_horizon=4, seed=5)
 
+    @pytest.mark.parametrize("sigma, beta", [(0.5, 4.0), (0.3, 1 / 0.3 ** 2)])
+    def test_cycle_trains_at_inverse_exploration_variance(self, monkeypatch,
+                                                          sigma, beta):
+        seen, pair_loss = [], tpo._pair_loss
+
+        def recording(policy, rows, beta, ws=None):
+            seen.append(beta)
+            return pair_loss(policy, rows, beta, ws)
+
+        monkeypatch.setattr(tpo, "_pair_loss", recording)
+        pol = init_policy(2, hidden=(8, 8), seed=1, exploration_std=sigma)
+        tpo_cycle(pol, PARAMS, GOAL, self.CFG, CFG)
+        assert seen == [beta] * self.CFG.epochs_per_cycle
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.3, float("nan")])
+    def test_cycle_rejects_noise_that_is_not_positive(self, sigma):
+        pol = init_policy(2, hidden=(8, 8), seed=1, exploration_std=sigma)
+        with pytest.raises(ValueError, match="exploration_std"):
+            tpo_cycle(pol, PARAMS, GOAL, self.CFG, CFG)
+
+
+class TestDefaults:
     @pytest.mark.parametrize("fpd", [(2.0, 120.0, 7.0), (8.0, 300.0, 20.0)])
     @pytest.mark.parametrize("seed", [200, 201, 202])
     def test_improves_at_cli_defaults(self, fpd, seed):
