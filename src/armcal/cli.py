@@ -164,9 +164,10 @@ def _check_unbacked(config):
     if not 0 <= config["holdout_fraction"] < 1:
         raise UsageError(f"holdout_fraction must be in [0, 1), "
                          f"got {config['holdout_fraction']!r}")
-    if config["tpo"]["exploration_std"] <= 0:  # finite, as every float key
-        raise UsageError("tpo.exploration_std must be positive, "
-                         f"got {config['tpo']['exploration_std']!r}")
+    try:
+        tpo.preference_beta(config["tpo"]["exploration_std"])
+    except ValueError as exc:
+        raise UsageError(f"tpo.{exc}")
 
 
 def build_stages(config):

@@ -13,7 +13,8 @@ observed poses computed once. Forward kinematics and the pose errors add
 column by column over all rows, not one short reduction per row. The
 surrogate route ("surrogate") fits the frozen network's one-step residuals
 and touches the simulator only through the dataset that network was trained
-on beforehand, whose cost identification does not pay.
+on beforehand, whose cost identification does not pay. LM asks for a
+Jacobian only at the points it steps from.
 """
 
 from dataclasses import dataclass, field
@@ -150,7 +151,7 @@ def refine_params(model, episodes, cfg: RefineConfig, candidates=None):
         model, np.hstack([q, qd, acts]), np.hstack([nq, nqd]))
     bounds = cfg.bounds
     if candidates:
-        losses = [r @ r for r in (residuals(c.as_array(), jac=False)
+        losses = [r @ r for r in (residuals(c.as_array())[0]
                                   for c in candidates)]
         start = candidates[int(np.argmin(losses))].as_array()
     else:
@@ -203,10 +204,11 @@ def make_one_step_residuals(episodes, plant_cfg):
     """Residuals of the teacher-forced one-step predictions against the
     observed next states, and their exact Jacobian.
 
-    Returns residuals(fpd) -> (r, J): r is the (M * 2N,) vector of predicted
-    minus observed (q, qd) over all episode steps, J the (M * 2N, 3)
-    derivative of r with respect to (f, p, d), from forward-mode
-    sensitivities through the integrator substeps. The episode tensors are
+    Returns residuals(fpd) -> (r, jacobian): r is the (M * 2N,) vector of
+    predicted minus observed (q, qd) over all episode steps; jacobian()
+    returns J, the (M * 2N, 3) derivative of r with respect to (f, p, d),
+    assembled from forward-mode sensitivities that the kernel call of r
+    propagates through the integrator substeps. The episode tensors are
     assembled once and captured.
     """
     q, qd, acts, nq, nqd = datagen.episode_arrays(episodes)
@@ -217,7 +219,7 @@ def make_one_step_residuals(episodes, plant_cfg):
         q2, qd2 = q.copy(), qd.copy()
         sq, sqd = step_batch_sensitivities(rows, q2, qd2, acts, plant_cfg)
         r = np.hstack([q2, qd2]).ravel() - observed
-        return r, np.concatenate([sq, sqd], axis=2).reshape(3, -1).T
+        return r, lambda: np.concatenate([sq, sqd], axis=2).reshape(3, -1).T
 
     return residuals
 
@@ -241,8 +243,9 @@ def gauss_newton_params(episodes, bounds: ParamBounds, plant_cfg: PlantConfig):
     span = bounds.highs() - bounds.lows()
 
     def unit_residuals(u):
-        r, J = residuals(bounds.from_unit(u))
-        return r, J * span  # a collapsed bound gives a zero column
+        r, jacobian = residuals(bounds.from_unit(u))
+        # a collapsed bound gives a zero column
+        return r, lambda: jacobian() * span
 
     u, curve = _levenberg_marquardt(unit_residuals, np.full(3, 0.5))
     if curve[-1] > LM_RESTART_REL_COST * curve[0]:
@@ -256,8 +259,9 @@ def gauss_newton_params(episodes, bounds: ParamBounds, plant_cfg: PlantConfig):
 
 def _levenberg_marquardt(residuals, u, max_iterations=LM_MAX_ITERATIONS,
                         tol=LM_TOL):
-    """One LM run from bound-scaled u in [0, 1]^3; residuals(u) -> (r, J),
-    J the derivative of r with respect to u.
+    """One LM run from bound-scaled u in [0, 1]^3; residuals(u) ->
+    (r, jacobian), jacobian() the derivative J of r with respect to u, asked
+    for only at the start and at each accepted point the run goes on from.
 
     Each step solves (J^T J + lam * diag(J^T J)) s = -J^T r over the free
     coordinates, then projects onto the cube. A coordinate is held fixed
@@ -268,13 +272,15 @@ def _levenberg_marquardt(residuals, u, max_iterations=LM_MAX_ITERATIONS,
     LM_MAX_DAMPING finds no lower cost. Returns (final u, mean squared
     residual at the start and after each accepted step).
     """
-    r, J = residuals(u)
+    r, jacobian = residuals(u)
     cost = float(r @ r)
     if not np.isfinite(cost):
         raise RuntimeError(f"non-finite residuals at the start u={u.tolist()}")
     curve = [cost / r.size]
     lam = LM_INITIAL_DAMPING
     for _ in range(max_iterations):
+        J = jacobian()
+        del jacobian  # and what it holds, before the trials' calls run
         g = J.T @ r
         free = (np.any(J != 0.0, axis=0)
                 & ~((u <= 0.0) & (g > 0)) & ~((u >= 1.0) & (g < 0)))
@@ -286,7 +292,7 @@ def _levenberg_marquardt(residuals, u, max_iterations=LM_MAX_ITERATIONS,
             step = np.zeros(3)
             step[free] = np.linalg.solve(A + lam * D, -g[free])
             u_new = np.clip(u + step, 0.0, 1.0)
-            r_new, J_new = residuals(u_new)
+            r_new, jacobian = residuals(u_new)
             cost_new = float(r_new @ r_new)
             if cost_new < cost:
                 break
@@ -296,7 +302,7 @@ def _levenberg_marquardt(residuals, u, max_iterations=LM_MAX_ITERATIONS,
         # kept positive: a damping of 0 would stay 0 under the *= 10 above
         lam = max(lam / 10.0, np.finfo(float).tiny)
         moved = float(np.max(np.abs(u_new - u)))
-        u, r, J, cost = u_new, r_new, J_new, cost_new
+        u, r, cost = u_new, r_new, cost_new
         curve.append(cost / r.size)
         if moved <= tol:
             break

@@ -11,6 +11,7 @@ fixed number of substeps per action. The three scalars (f, p, d) are shared
 across joints and are the quantities the identification pipeline recovers.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +111,11 @@ class PlantConfig:
             object.__setattr__(self, "inertias", (1.0,) * self.n_joints)
         if len(self.link_lengths) != self.n_joints or len(self.inertias) != self.n_joints:
             raise ValueError("link_lengths/inertias length must match n_joints")
-        if not all(0 < v < np.inf for v in (*self.link_lengths, *self.inertias)):
-            raise ValueError("link lengths and inertias must be finite and positive")
+        values = (*self.link_lengths, *self.inertias)
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   and 0 < v < np.inf for v in values):
+            raise ValueError("link lengths and inertias must be finite and "
+                             f"positive numbers, got {values!r}")
         if self.obs_noise_std < 0:
             raise ValueError("obs_noise_std must be >= 0")
 

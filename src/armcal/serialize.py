@@ -10,6 +10,7 @@ value below 1e17 in magnitude is written as an integer and -0.0 as 0.
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 from pathlib import Path
@@ -23,10 +24,11 @@ from .tpo import PolicyNet
 
 DATASET_KEYS = ("f", "p", "d", "state_q", "state_qd", "action", "next_q", "next_qd")
 REPORT_HEADER = "method,traj_err,rot_err,trans_err,time_s"
-# Dataset rows per block: the writer formats a block in one %-format call,
-# which keeps the per-float Python overhead off it, and the reader converts a
-# block of parsed rows to one array; the bound keeps the text and the Python
-# floats in memory small whatever the row count.
+# Dataset rows per block: the writer formats a block's parts in %-format
+# calls, which keeps the per-float Python overhead off it, and keeps the texts
+# of two blocks' parts at most; the reader converts a block of parsed rows to
+# one array. The bound keeps the text and the Python floats in memory small
+# whatever the row count.
 DATASET_BLOCK_ROWS = 1024
 
 
@@ -46,19 +48,20 @@ def f17(x):
 
 # --- transition dataset (JSON lines) ----------------------------------------
 
-def _dataset_template(n_joints):
-    """%-format template of one dataset line and its newline: the 3 + 5N
-    floats of a row in order, each as %.17g, which is f17's text."""
+def _dataset_parts(n_joints):
+    """%-format templates, %.17g being f17's text, of a dataset line's three
+    parts: the (f, p, d), state|action and next-state floats."""
     vec = "[" + ",".join(["%.17g"] * n_joints) + "]"
-    fields = ['"f":%.17g', '"p":%.17g', '"d":%.17g'] + [
-        f'"{key}":{vec}' for key in DATASET_KEYS[3:]]
-    return "{" + ",".join(fields) + "}\n"
+    keys = [f'"{key}":{vec}' for key in DATASET_KEYS[3:]]
+    return ('{"f":%.17g,"p":%.17g,"d":%.17g,',
+            ",".join(keys[:3]) + ",",
+            ",".join(keys[3:]) + "}")
 
 
 def dataset_line(row, n_joints):
     """One record row (3 + 5N floats) as a fixed-key-order JSON line."""
     values = np.asarray(row, dtype=float).tolist()
-    return (_dataset_template(n_joints) % tuple(values))[:-1]
+    return "".join(_dataset_parts(n_joints)) % tuple(values)
 
 
 @contextlib.contextmanager
@@ -76,18 +79,61 @@ def _replacing(path):
             tmp.unlink()
 
 
+def _format_rows(template, values):
+    """template % row for each row of values, in one %-format call."""
+    text = "\n".join([template] * len(values)) % tuple(values.ravel().tolist())
+    return text.split("\n")
+
+
+def _format_repeated(template, values, seen):
+    """The texts of _format_rows(template, values), each distinct row of
+    values formatted once, and the map to pass as seen with the next block.
+    seen maps the bytes of the previous block's rows (-0.0 is not 0.0) to
+    their texts; a block's misses format together. Once a block repeats no
+    row, seen is None from then on and rows go straight to _format_rows."""
+    if seen is None:
+        return _format_rows(template, values), None
+    keys = np.ascontiguousarray(values).view(
+        np.dtype((np.void, values.itemsize * values.shape[1]))).ravel().tolist()
+    distinct = set(keys)
+    missing = list(distinct.difference(seen))
+    if len(missing) == len(keys):
+        return _format_rows(template, values), None
+    texts = {key: seen[key] for key in distinct.intersection(seen)}
+    if missing:
+        new = np.frombuffer(b"".join(missing)).reshape(len(missing), -1)
+        texts.update(zip(missing, _format_rows(template, new)))
+    return list(map(texts.__getitem__, keys)), texts
+
+
 def write_dataset(path, rows, n_joints):
     """Write the (M, 3 + 5N) record matrix as JSON lines, DATASET_BLOCK_ROWS
-    rows per format call. The file appears only once it is complete."""
+    rows per block. The file appears only once it is complete. The rows of
+    generate_transition_arrays repeat each (f, p, d) once per episode step
+    and each state|action part once per parameter set; a block formats each
+    distinct such part once, and reuses the text of a part that the block
+    before it held, so a part repeated within DATASET_BLOCK_ROWS rows is
+    formatted once. A part that repeats nothing in a block is formatted row
+    by row from then on, and once neither does, whole lines are."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 3 + 5 * n_joints:
         raise ValueError(f"dataset rows must be (M, {3 + 5 * n_joints}), "
                          f"got {rows.shape}")
-    template = _dataset_template(n_joints)
+    fpd_tpl, sa_tpl, next_tpl = _dataset_parts(n_joints)
+    fpd_seen, sa_seen = {}, {}
+    sa, nx = slice(3, 3 + 3 * n_joints), slice(3 + 3 * n_joints, None)
+    line = fpd_tpl + sa_tpl + next_tpl + "\n"
     with _replacing(path) as fh:
         for i in range(0, len(rows), DATASET_BLOCK_ROWS):
             block = rows[i:i + DATASET_BLOCK_ROWS]
-            fh.write((template * len(block)) % tuple(block.ravel().tolist()))
+            if fpd_seen is None and sa_seen is None:  # no part repeats
+                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+                continue
+            fpd, fpd_seen = _format_repeated(fpd_tpl, block[:, :3], fpd_seen)
+            sa_text, sa_seen = _format_repeated(sa_tpl, block[:, sa], sa_seen)
+            parts = zip(fpd, sa_text, _format_rows(next_tpl, block[:, nx]),
+                        itertools.repeat("\n"))
+            fh.write("".join(itertools.chain.from_iterable(parts)))
 
 
 def read_dataset(path):

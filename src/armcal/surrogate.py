@@ -14,7 +14,7 @@ Every loop that makes many passes runs them into one reused workspace:
 training writes each minibatch's activations, deltas and weight gradients
 into the same arrays, and refinement's residuals (make_param_residuals)
 normalize their rows once and neither hold nor compute the weight gradients
-they do not use.
+they do not use, nor a Jacobian no one asks for.
 """
 
 from dataclasses import dataclass, field
@@ -270,11 +270,12 @@ def make_param_residuals(model, state_sa, next_raw):
     shared by every row, weights frozen. The normalized rows, the targets
     and one workspace without weight gradients are built once.
 
-    Returns residuals(fpd_row, jac=True): r is the (B * 2N,) output minus
-    target in z-scored next-state space, from a forward pass alone when jac
-    is False; with jac, (r, J), J its (B * 2N, 3) Jacobian in
-    ParamBounds.to_unit coordinates (zero for a collapsed bound), from one
-    input-gradient backward pass per output column.
+    Returns residuals(fpd_row) -> (r, jacobian): r is the (B * 2N,) output
+    minus target in z-scored next-state space, from one forward pass.
+    jacobian() returns its (B * 2N, 3) Jacobian in ParamBounds.to_unit
+    coordinates (zero for a collapsed bound), from one input-gradient
+    backward pass per output column over that pass's activations; after a
+    later residuals call it raises RuntimeError.
     """
     B, n_out = len(state_sa), model.layer_dims[-1]
     X = build_input(model, np.zeros((B, 3)), state_sa)  # a call sets X[:, :3]
@@ -282,21 +283,29 @@ def make_param_residuals(model, state_sa, next_raw):
     ws = workspace(model.layer_dims, B, weight_grads=False)
     unit = np.zeros((B, n_out))  # d(output column k)/d(output), column k set
     collapsed = model.bounds.highs() == model.bounds.lows()
+    calls = 0  # residuals calls so far; the workspace holds the last one's
 
-    def residuals(fpd_row, jac=True):
+    def residuals(fpd_row):
+        nonlocal calls
+        calls += 1
+        call = calls
         X[:, :3] = model.bounds.to_unit(np.asarray(fpd_row, dtype=float))
-        if not jac:
-            return (forward_normalized(model, X, ws=ws) - Y).ravel()
         out, acts = forward_normalized(model, X, keep_cache=True, ws=ws)
-        r = (out - Y).ravel()
-        J = np.empty((B, n_out, 3))
-        for k in range(n_out):
-            unit[:, k] = 1.0
-            J[:, k] = backward_from_delta(model, acts, unit, weight_grads=False,
-                                          ws=ws)[2][:, :3]
-            unit[:, k] = 0.0
-        J[:, :, collapsed] = 0.0
-        return r, J.reshape(-1, 3)
+
+        def jacobian():
+            if calls != call:
+                raise RuntimeError("stale jacobian(): a later call has "
+                                   "overwritten its activations")
+            J = np.empty((B, n_out, 3))
+            for k in range(n_out):
+                unit[:, k] = 1.0
+                J[:, k] = backward_from_delta(model, acts, unit,
+                                              weight_grads=False, ws=ws)[2][:, :3]
+                unit[:, k] = 0.0
+            J[:, :, collapsed] = 0.0
+            return J.reshape(-1, 3)
+
+        return (out - Y).ravel(), jacobian
 
     return residuals
 
@@ -305,6 +314,6 @@ def param_loss_and_grad(model, fpd_row, state_sa, next_raw):
     """L_para at one parameter row, the mean over rows of the squared
     residuals of make_param_residuals (same rows), and its (3,) gradient in
     ParamBounds.to_unit coordinates."""
-    r, J = make_param_residuals(model, state_sa, next_raw)(fpd_row)
+    r, jacobian = make_param_residuals(model, state_sa, next_raw)(fpd_row)
     B = len(state_sa)
-    return float(r @ r) / B, (2.0 / B) * (r @ J)
+    return float(r @ r) / B, (2.0 / B) * (r @ jacobian())

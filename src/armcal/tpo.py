@@ -13,9 +13,9 @@ Trajectory log-probability is the negative half sum of squared differences
 between the policy's mean actions and the actions actually executed.
 
 That sum leaves out the 1/sigma^2 of the Gaussian exploration noise
-(sigma = exploration_std, which must be positive), so a cycle trains with
-beta = 1/sigma^2 of the policy whose noise drew its rollouts: beta * delta
-is then the Gaussian log-likelihood ratio.
+(sigma = exploration_std), so a cycle trains with beta = 1/sigma^2 of the
+policy whose noise drew its rollouts: beta * delta is then the Gaussian
+log-likelihood ratio.
 
 A cycle works on rollout arrays throughout: B rollouts advance in lockstep,
 one policy forward over all B states and one batch-B plant step per time
@@ -298,14 +298,27 @@ def _spawn_rngs(seed_seq, n):
     return [np.random.default_rng(child) for child in seed_seq.spawn(n)]
 
 
+def preference_beta(exploration_std):
+    """beta = 1/sigma^2; ValueError unless sigma > 0 and beta is finite
+    and positive."""
+    sigma = float(exploration_std)
+    try:
+        beta = 1.0 / sigma ** 2
+    except (ZeroDivisionError, OverflowError):  # sigma^2 is 0.0 or too large
+        beta = float("nan")
+    if not (sigma > 0 and 0 < beta < float("inf")):
+        raise ValueError("exploration_std must be positive, with "
+                         "1/exploration_std^2 finite and positive, got "
+                         f"{exploration_std!r}")
+    return beta
+
+
 def tpo_cycle(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
               plant_cfg: PlantConfig, cycle_index=0, seed_seq=None):
     """One fine-tuning cycle: freeze reference, roll out a batch, rank, run
     epochs_per_cycle gradient steps on the preference loss at
     beta = 1/sigma^2, sigma the policy's exploration noise."""
-    if not policy.exploration_std > 0:
-        raise ValueError("exploration_std must be positive")
-    beta = 1.0 / policy.exploration_std ** 2
+    beta = preference_beta(policy.exploration_std)
     if seed_seq is None:
         seed_seq = np.random.SeedSequence((cfg.seed, cycle_index))
     goal = np.asarray(goal, dtype=float)
@@ -321,6 +334,7 @@ def tpo_cycle(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
     # the policy before its first update is the frozen reference
     rows = _pair_rows(policy, [obs[:, i] for i in idx],
                       [executed[:, i] for i in idx], ws)
+    del qs, qds, executed, obs  # training reads the pair rows alone
 
     arrays = policy.weights + policy.biases
     m = [np.zeros_like(a) for a in arrays]

@@ -170,6 +170,9 @@ class TestExitCodes:
         "plant.link_lengths=0",
         "plant.inertias=false",
         'plant.link_lengths="ab"',
+        # a bool is no length or inertia, though True compares as 1
+        "plant.link_lengths=[true,true]",
+        "plant.inertias=[true,1.0]",
         "surrogate.hidden_width=0",  # no layer to build
         "run_seed=-1",  # no seed sequence to derive
         "bounds.f=[-5,10]",  # ParamBounds: its points must be valid params
@@ -399,6 +402,17 @@ class TestPipeline:
         capsys.readouterr()
         assert run(tmp_path, "--set", "tpo.exploration_std=0", "tpo") == 2
         assert "tpo.exploration_std must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "tpo_report.jsonl").exists()
+
+    @pytest.mark.parametrize("sigma", ["1e-200", "1e-160"])
+    def test_tpo_rejects_noise_whose_square_underflows(self, tmp_path, capsys,
+                                                       sigma):
+        # sigma^2 is 0.0 at 1e-200 and subnormal at 1e-160, where beta is inf
+        assert run(tmp_path, "datagen") == 0
+        assert run(tmp_path, "identify", "--method", "grad") == 0
+        capsys.readouterr()
+        assert run(tmp_path, "--set", f"tpo.exploration_std={sigma}", "tpo") == 2
+        assert "1/exploration_std^2 finite" in capsys.readouterr().err
         assert not (tmp_path / "tpo_report.jsonl").exists()
 
     @pytest.mark.parametrize("frac", ["0", "-1"])

@@ -100,10 +100,11 @@ class TestPlanarPoseErrors:
 
 def stub_residuals(monkeypatch, residuals_of_u):
     """Make refinement's residuals the given (r, J) function of the
-    bound-scaled parameters, whatever the model and episodes."""
-    def residuals(fpd_row, jac=True):
+    bound-scaled parameters, returned as (r, jacobian), whatever the model
+    and episodes."""
+    def residuals(fpd_row):
         r, J = residuals_of_u(BOUNDS.to_unit(fpd_row))
-        return (r, J) if jac else r
+        return r, lambda: J
 
     monkeypatch.setattr(surrogate, "make_param_residuals",
                         lambda model, state_sa, next_raw: residuals)
@@ -156,7 +157,7 @@ class TestRefine:
     def test_matches_lm_on_the_backprop_residuals(self, with_candidates):
         # refinement gives, bit for bit, the params and cost curve of LM on
         # residuals built from build_input's rows, with one fresh-array
-        # backward pass per output column as their Jacobian
+        # backward pass per output column as their Jacobian, on request
         eps = datagen.make_synthetic_real(PhysParams(4.0, 200.0, 10.0),
                                           3, 20, CFG, seed=2)
         cands = datagen.sample_params(6, BOUNDS, seed=4)
@@ -176,13 +177,18 @@ class TestRefine:
             X = surrogate.build_input(model, fpd_rows, state_sa)
             out, layer_acts = surrogate.forward_normalized(model, X,
                                                            keep_cache=True)
-            columns = []
-            for k in range(2 * n):
-                unit = np.zeros_like(out)
-                unit[:, k] = 1.0
-                dX = surrogate.backward_from_delta(model, layer_acts, unit)[2]
-                columns.append(dX[:, :3])
-            return (out - Y).ravel(), np.stack(columns, axis=1).reshape(-1, 3)
+
+            def jacobian():
+                columns = []
+                for k in range(2 * n):
+                    unit = np.zeros_like(out)
+                    unit[:, k] = 1.0
+                    dX = surrogate.backward_from_delta(model, layer_acts,
+                                                       unit)[2]
+                    columns.append(dX[:, :3])
+                return np.stack(columns, axis=1).reshape(-1, 3)
+
+            return (out - Y).ravel(), jacobian
 
         cfg = RefineConfig(max_steps=60, convergence_tol=0.0, bounds=BOUNDS)
         if with_candidates:
@@ -209,7 +215,7 @@ class TestRefine:
             model, np.hstack([q, qd, acts]), np.hstack([nq, nqd]))
 
         def loss(fpd):
-            r = residuals(fpd, jac=False)
+            r = residuals(fpd)[0]
             return float(r @ r) / len(q)
 
         def projected_gradient(u, h=1e-6):
@@ -279,13 +285,52 @@ class TestLevenbergMarquardt:
                           np.sin(3.0 * u[1]) + u[2] - 0.1])
             J = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                           [u[2], 0.0, u[0]], [0.0, 3.0 * np.cos(3.0 * u[1]), 1.0]])
-            return r, J
+            return r, lambda: J
 
         u, curve = identify._levenberg_marquardt(residuals, np.full(3, 0.5),
                                                  500, 0.0)
         assert np.all((u >= 0.0) & (u <= 1.0))
         assert all(b < a for a, b in zip(curve, curve[1:]))
         assert curve[-1] > 0.0 and len(curve) < 501
+
+    # (max_iterations, tol, residual calls, whether LM tries a step from its
+    # last accepted point): it does when the run ends because no damping
+    # lowers the cost, not when it ends at the iteration cap or at the step
+    # tolerance. The residual calls are those of an LM that built J at every
+    # trial point.
+    @pytest.mark.parametrize("max_iterations, tol, n_residuals, tries_from_last", [
+        (100, 0.0, 50, True), (7, 0.0, 8, False), (100, 1e-6, 12, False)])
+    def test_jacobian_only_at_points_it_steps_from(self, max_iterations, tol,
+                                                   n_residuals, tries_from_last):
+        log = []
+
+        def residuals(u):
+            log.append("r")
+            r = np.array([10.0 * (u[1] - u[0] ** 2), 0.6 - u[0],
+                          10.0 * (u[2] - u[1] ** 2), 0.3 * np.sin(5.0 * u[2])])
+            J = np.array([[-20.0 * u[0], 10.0, 0.0], [-1.0, 0.0, 0.0],
+                          [0.0, -20.0 * u[1], 10.0],
+                          [0.0, 0.0, 1.5 * np.cos(5.0 * u[2])]])
+            point = len(log)
+
+            def jacobian():
+                log.append(("J", point))
+                return J
+
+            return r, jacobian
+
+        _, curve = identify._levenberg_marquardt(
+            residuals, np.array([0.05, 0.95, 0.9]), max_iterations, tol)
+        jacobians = [(i, e[1]) for i, e in enumerate(log) if e != "r"]
+        accepted = len(curve) - 1
+        assert log.count("r") == n_residuals
+        # the start, and each accepted point LM goes on from
+        assert len(jacobians) == 1 + accepted - (not tries_from_last)
+        # each J is of the point of the residual call just before it, so no
+        # rejected trial asks for one
+        assert all(point == i for i, point in jacobians)
+        if tries_from_last:
+            assert log.count("r") - 1 - accepted > len(jacobians)  # rejected
 
 
 class TestAnneal:
@@ -386,9 +431,9 @@ class TestGaussNewton:
     def test_residuals_vanish_at_truth(self):
         truth = PhysParams(3.0, 150.0, 9.0)
         eps = datagen.make_synthetic_real(truth, 2, 8, CFG, seed=5)
-        r, J = make_one_step_residuals(eps, CFG)(truth.as_array())
+        r, jacobian = make_one_step_residuals(eps, CFG)(truth.as_array())
         assert r.shape == (2 * 8 * 2 * CFG.n_joints,)
-        assert J.shape == (r.size, 3)
+        assert jacobian().shape == (r.size, 3)
         assert np.all(r == 0.0)
 
     def test_truth_outside_bounds_lands_on_the_bound(self):
@@ -449,8 +494,8 @@ class TestGaussNewton:
         span = BOUNDS.highs() - BOUNDS.lows()
 
         def unit_residuals(u):
-            r, J = residuals(BOUNDS.from_unit(u))
-            return r, J * span
+            r, jacobian = residuals(BOUNDS.from_unit(u))
+            return r, lambda: jacobian() * span
 
         u_mid, curve_mid = identify._levenberg_marquardt(unit_residuals,
                                                          np.full(3, 0.5))

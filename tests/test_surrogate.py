@@ -217,15 +217,17 @@ class TestParamResiduals:
             rng, model, state_sa, next_raw = self.case(seed)
             residuals = make_param_residuals(model, state_sa, next_raw)
             u = rng.random(3)
-            r, J = residuals(BOUNDS.from_unit(u))
+            r, jacobian = residuals(BOUNDS.from_unit(u))
+            J = jacobian()
             assert r.shape == (12 * 2 * N,) and J.shape == (r.size, 3)
-            # forward-only residuals are the same bits
-            assert np.array_equal(residuals(BOUNDS.from_unit(u), jac=False), r)
+            # a second call at the same point gives the same bits
+            r2, jacobian2 = residuals(BOUNDS.from_unit(u))
+            assert np.array_equal(r2, r) and np.array_equal(jacobian2(), J)
             for j in range(3):
                 h = np.zeros(3)
                 h[j] = 1e-6
-                fd = (residuals(BOUNDS.from_unit(u + h), jac=False)
-                      - residuals(BOUNDS.from_unit(u - h), jac=False)) / 2e-6
+                fd = (residuals(BOUNDS.from_unit(u + h))[0]
+                      - residuals(BOUNDS.from_unit(u - h))[0]) / 2e-6
                 # relative error of each transition's (2N,) derivative
                 # vector, as the plant's sensitivities are checked
                 an, fd = J[:, j].reshape(12, -1), fd.reshape(12, -1)
@@ -248,20 +250,38 @@ class TestParamResiduals:
     def test_collapsed_bound_has_a_zero_column(self):
         pinned = ParamBounds(p_min=150.0, p_max=150.0)
         _, model, state_sa, next_raw = self.case(41, bounds=pinned)
-        _, J = make_param_residuals(model, state_sa, next_raw)(
+        _, jacobian = make_param_residuals(model, state_sa, next_raw)(
             np.array([3.0, 150.0, 12.0]))
+        J = jacobian()
         assert np.all(J[:, 1] == 0.0)
         assert np.all(np.any(J[:, [0, 2]] != 0.0, axis=0))
 
     def test_returned_arrays_outlive_the_next_call(self):
-        # LM keeps the accepted (r, J) while it evaluates a trial point
+        # LM keeps the accepted r and J while it evaluates a trial point
         _, model, state_sa, next_raw = self.case(42)
         residuals = make_param_residuals(model, state_sa, next_raw)
         a = np.array([3.0, 150.0, 12.0])
-        r, J = residuals(a)
+        r, jacobian = residuals(a)
+        J = jacobian()
         r0, J0 = r.copy(), J.copy()
-        residuals(np.array([8.0, 40.0, 1.0]))
+        residuals(np.array([8.0, 40.0, 1.0]))[1]()
         assert np.array_equal(r, r0) and np.array_equal(J, J0)
+
+    def test_stale_jacobian_raises(self):
+        # a later call overwrites the activations a jacobian() reads
+        _, model, state_sa, next_raw = self.case(43)
+        residuals = make_param_residuals(model, state_sa, next_raw)
+        a, b = np.array([3.0, 150.0, 12.0]), np.array([8.0, 40.0, 1.0])
+        _, stale = residuals(a)
+        _, fresh = residuals(b)
+        with pytest.raises(RuntimeError, match="overwritten"):
+            stale()
+        J_b = fresh()
+        assert np.array_equal(J_b, fresh())  # asked twice, the same bits
+        _, again = residuals(a)
+        with pytest.raises(RuntimeError):
+            fresh()
+        assert not np.array_equal(again(), J_b)
 
 
 class TestWorkspacePasses:
@@ -326,15 +346,17 @@ class TestWorkspacePasses:
         model, state_sa, next_raw = self.objective_case()
         residuals = make_param_residuals(model, state_sa, next_raw)
         a, b = np.array([3.0, 150.0, 12.0]), np.array([8.0, 40.0, 1.0])
-        r_a, J_a = residuals(a)
-        r_b, J_b = residuals(b)
+        r_a, jacobian = residuals(a)
+        J_a = jacobian()
+        r_b, jacobian = residuals(b)
+        J_b = jacobian()
         assert not np.array_equal(r_b, r_a)
-        r_a2, J_a2 = residuals(a)
+        r_a2, jacobian = residuals(a)
         assert np.array_equal(r_a2, r_a)
-        assert np.array_equal(J_a2, J_a)
-        # the forward pass alone gives the same residuals
-        assert np.array_equal(residuals(a, jac=False), r_a)
-        assert np.array_equal(residuals(b, jac=False), r_b)
+        assert np.array_equal(jacobian(), J_a)
+        # residuals whose Jacobian no one asks for are the same bits
+        assert np.array_equal(residuals(a)[0], r_a)
+        assert np.array_equal(residuals(b)[0], r_b)
         # param_loss_and_grad is their mean square and its gradient, bit for bit
         B = len(state_sa)
         loss_w, grad_w = param_loss_and_grad(model, b, state_sa, next_raw)
@@ -351,7 +373,7 @@ class TestWorkspacePasses:
         u = BOUNDS.to_unit(fpd)
 
         def loss_at_u():
-            r = residuals(BOUNDS.from_unit(u), jac=False)
+            r = residuals(BOUNDS.from_unit(u))[0]
             return float(r @ r) / len(state_sa)
 
         fd = central_fd(loss_at_u, u, eps=1e-7)
@@ -372,7 +394,10 @@ class TestWorkspacePasses:
 
         monkeypatch.setattr(surrogate, "workspace", recording_workspace)
         residuals = make_param_residuals(model, state_sa, next_raw)
-        lean = [residuals(fpd) for fpd in fpds]
+        lean = []
+        for fpd in fpds:
+            r, jacobian = residuals(fpd)
+            lean.append((r, jacobian()))
         assert len(built) == 1
         assert built[0].dWs is None and built[0].dbs is None
         monkeypatch.setattr(surrogate, "workspace",
@@ -380,8 +405,9 @@ class TestWorkspacePasses:
                             make(layer_dims, rows))
         residuals = make_param_residuals(model, state_sa, next_raw)
         for (r, J), fpd in zip(lean, fpds):
-            full_r, full_J = residuals(fpd)
-            assert np.array_equal(r, full_r) and np.array_equal(J, full_J)
+            full_r, full_jacobian = residuals(fpd)
+            assert np.array_equal(r, full_r)
+            assert np.array_equal(J, full_jacobian())
 
 
 class TestTraining:

@@ -338,6 +338,14 @@ class TestBeta:
         with pytest.raises(ValueError, match="exploration_std"):
             tpo_cycle(pol, PARAMS, GOAL, self.CFG, CFG)
 
+    # 1e-200 squares to 0.0, 1e-160 to a subnormal whose inverse is inf, and
+    # 1e200 to more than a double holds
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-160, 1e200])
+    def test_cycle_rejects_noise_whose_beta_is_not_finite(self, sigma):
+        pol = init_policy(2, hidden=(8, 8), seed=1, exploration_std=sigma)
+        with pytest.raises(ValueError, match="finite and positive"):
+            tpo_cycle(pol, PARAMS, GOAL, self.CFG, CFG)
+
 
 class TestDefaults:
     @pytest.mark.parametrize("fpd", [(2.0, 120.0, 7.0), (8.0, 300.0, 20.0)])
