@@ -3,9 +3,11 @@
 Subcommands: datagen | train-surrogate | identify | tpo | plot. `datagen`
 writes the observed episodes; `train-surrogate` builds the surrogate's rows
 from their training split and trains it; `identify --method surrogate` only
-refines through that checkpoint.
-All randomness is derived from the configured run seed; no wall-clock
-seeding. Exit codes: 0 success, 2 usage/config error, 1 runtime error.
+refines through that checkpoint. `--set a.b=V` is the one-key `--config`
+override {"a": {"b": V}}. Each command returns the artifacts it wrote, and
+`main` alone records them in manifest.json (plot records none). All
+randomness is derived from the configured run seed; no wall-clock seeding.
+Exit codes: 0 success, 2 usage/config error, 1 runtime error.
 """
 
 import argparse
@@ -104,8 +106,8 @@ def _merge(base, override, prefix=""):
 
 
 def _apply_set(config, assignment):
-    """Apply one dotted KEY=VALUE override: a dict value merges into its
-    section as the same override in a --config file does."""
+    """`config` with one KEY=VALUE override: a.b=V is the one-key --config
+    override {"a": {"b": V}}."""
     if "=" not in assignment:
         raise UsageError(f"--set expects key=value, got {assignment!r}")
     key, _, raw = assignment.partition("=")
@@ -113,13 +115,9 @@ def _apply_set(config, assignment):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    *path, leaf = key.split(".")
-    node = config
-    for part in path:
-        if not isinstance(node.get(part), dict):
-            raise UsageError(f"unknown config key: {key}")
-        node = node[part]
-    node[leaf] = _merge(node, {leaf: value}, "".join(p + "." for p in path))[leaf]
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return _merge(config, value)
 
 
 def load_config(args):
@@ -134,7 +132,7 @@ def load_config(args):
             raise UsageError(f"config file {path} must hold a JSON object")
         config = _merge(config, user)
     for assignment in args.set or []:
-        _apply_set(config, assignment)
+        config = _apply_set(config, assignment)
     if args.seed is not None:
         config["run_seed"] = args.seed
     if args.out is not None:
@@ -187,10 +185,10 @@ def build_stages(config):
                       "tpo": {"seed": seeds["tpo"]}}
         stages = {"seeds": seeds, "bounds": bounds}
         for name, cls in SECTION_CLASSES.items():
-            values = {f.name: config[name][f.name] for f in _class_fields(cls)}
-            if cls is PlantConfig:  # JSON lists to the tuples it holds
-                for k in ("link_lengths", "inertias"):
-                    values[k] = None if values[k] is None else tuple(values[k])
+            # a frozen config holds tuples where its JSON has lists
+            values = {f.name: tuple(v) if isinstance(v, list) else v
+                      for f in _class_fields(cls)
+                      for v in [config[name][f.name]]}
             stages[name] = cls(**values, **set_by_cli.get(name, {}))
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise UsageError(f"invalid {name} config: {exc}")
@@ -224,13 +222,13 @@ def _environment():
                for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
 
 
-def _write_manifest(out, config, artifacts):
+def _write_manifest(config, artifacts):
     doc = {"config_hash": serialize.config_hash(config),
            "artifacts": {k: str(v) for k, v in artifacts.items()},
            "tool_version": __version__,
            "environment": _environment(),
            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
-    serialize.dump_json(doc, out / "manifest.json")
+    serialize.dump_json(doc, Path(config["output_dir"]) / "manifest.json")
 
 
 def _truth_params(config, seeds, bounds):
@@ -260,6 +258,24 @@ def _load_episodes(path, plant_cfg):
     return episodes
 
 
+def _load_checkpoint(path, stages):
+    """The surrogate checkpoint at `path`; a malformed one, or one trained
+    for another number of joints or in other bounds than the configured
+    ones, is a usage error."""
+    doc = serialize.load_json(_input_file(path, "checkpoint"))
+    try:
+        model = serialize.checkpoint_from_json(doc)
+    except ValueError as exc:
+        raise UsageError(f"invalid checkpoint: {exc}")
+    n = stages["plant"].n_joints
+    if model.layer_dims[0] != 3 + 3 * n or model.layer_dims[-1] != 2 * n:
+        raise UsageError("checkpoint layout does not match configured n_joints")
+    if model.bounds != stages["bounds"]:
+        raise UsageError("checkpoint was trained in other bounds than "
+                         "the configured ones")
+    return model
+
+
 def _param_sets(config, stages):
     """The sampled parameter sets the surrogate's training rows are built
     over, and the candidates its refinement starts from."""
@@ -275,10 +291,8 @@ def cmd_datagen(config, stages):
                                            stages["plant"], seeds["episodes"])
     serialize.dump_json(serialize.episodes_to_json(episodes), out / "episodes.json")
     serialize.dump_json(serialize.params_to_json(truth), out / "truth.json")
-    _write_manifest(out, config, {"episodes": out / "episodes.json",
-                                  "truth": out / "truth.json"})
     print(f"wrote {len(episodes.episodes)} episodes to {out / 'episodes.json'}")
-    return 0
+    return {"episodes": out / "episodes.json", "truth": out / "truth.json"}
 
 
 def cmd_train_surrogate(config, stages, dataset_path):
@@ -319,13 +333,12 @@ def cmd_train_surrogate(config, stages, dataset_path):
     history = model.training_meta["loss_history"]
     serialize.write_text(out / "train_loss.csv", "step,value\n" + "".join(
         f"{i},{serialize.f17(v)}\n" for i, v in enumerate(history)))
-    _write_manifest(out, config, {**artifacts, "norm_stats": out / "norm_stats.json",
-                                  "checkpoint": out / "checkpoint.json",
-                                  "loss_curve": out / "train_loss.csv"})
     print(f"final training loss: {model.training_meta['final_loss']:.3e} "
           f"({model.training_meta['epochs_run']} epochs, "
           f"{model.training_meta['stop_reason']})")
-    return 0
+    return {**artifacts, "norm_stats": out / "norm_stats.json",
+            "checkpoint": out / "checkpoint.json",
+            "loss_curve": out / "train_loss.csv"}
 
 
 def _split_holdout(episodes, fraction):
@@ -366,53 +379,38 @@ def cmd_identify(config, stages, episodes_path, checkpoint_path, method):
     truth = (serialize.params_from_json(serialize.load_json(truth_path))
              if truth_path.exists() else None)
 
+    # looked up when they run, so that a wrapper set on identify's functions
+    # (perfbench's tracer) sees them; the surrogate times its checkpoint load
+    routes = {
+        "sa": lambda: identify.anneal_params(train_eps, stages["anneal"], plant_cfg),
+        "grad": lambda: identify.gauss_newton_params(train_eps, stages["bounds"],
+                                                     plant_cfg),
+        "surrogate": lambda: identify.refine_params(
+            _load_checkpoint(checkpoint_path or out / "checkpoint.json", stages),
+            train_eps, stages["refine"], _param_sets(config, stages)),
+    }
     reports = []
-    if method in ("sa", "both"):
+    for name in ("sa", "grad") if method == "both" else (method,):
         t0 = time.perf_counter()
-        sa_params, _ = identify.anneal_params(train_eps, stages["anneal"], plant_cfg)
-        reports.append(_report("sa", sa_params, time.perf_counter() - t0,
-                               eval_eps, plant_cfg, truth))
-    if method in ("grad", "both"):
-        t0 = time.perf_counter()
-        grad_params, _ = identify.gauss_newton_params(train_eps, stages["bounds"],
-                                                      plant_cfg)
-        reports.append(_report("grad", grad_params, time.perf_counter() - t0,
-                               eval_eps, plant_cfg, truth))
-    if method == "surrogate":
-        t0 = time.perf_counter()
-        doc = serialize.load_json(_input_file(
-            checkpoint_path or out / "checkpoint.json", "checkpoint"))
-        try:
-            model = serialize.checkpoint_from_json(doc)
-        except ValueError as exc:
-            raise UsageError(f"invalid checkpoint: {exc}")
-        n = plant_cfg.n_joints
-        if model.layer_dims[0] != 3 + 3 * n or model.layer_dims[-1] != 2 * n:
-            raise UsageError("checkpoint layout does not match configured n_joints")
-        if model.bounds != stages["bounds"]:
-            raise UsageError("checkpoint was trained in other bounds than "
-                             "the configured ones")
-        sur_params, _ = identify.refine_params(model, train_eps, stages["refine"],
-                                               _param_sets(config, stages))
-        reports.append(_report("surrogate", sur_params, time.perf_counter() - t0,
+        params, _ = routes[name]()
+        reports.append(_report(name, params, time.perf_counter() - t0,
                                eval_eps, plant_cfg, truth))
 
-    serialize.write_text(out / "identify_report.csv",
-                         serialize.reports_to_csv(reports))
-    serialize.write_text(out / "identify_report.md",
-                         serialize.reports_to_markdown(reports))
+    artifacts = {"report_csv": out / "identify_report.csv",
+                 "report_md": out / "identify_report.md",
+                 "identified_params": out / "identified_params.json"}
+    serialize.write_text(artifacts["report_csv"], serialize.reports_to_csv(reports))
+    serialize.write_text(artifacts["report_md"], serialize.reports_to_markdown(reports))
     best = min(reports, key=lambda r: r.trajectory_error)
     serialize.dump_json({"method": best.method,
                          **serialize.params_to_json(best.params)},
-                        out / "identified_params.json")
+                        artifacts["identified_params"])
     if truth:
         recovery = {rep.method: list(rep.param_recovery_error) for rep in reports}
-        serialize.dump_json(recovery, out / "recovery_error.json")
-    _write_manifest(out, config, {"report_csv": out / "identify_report.csv",
-                                  "report_md": out / "identify_report.md",
-                                  "identified_params": out / "identified_params.json"})
+        artifacts["recovery_error"] = out / "recovery_error.json"
+        serialize.dump_json(recovery, artifacts["recovery_error"])
     print(serialize.reports_to_csv(reports), end="")
-    return 0
+    return artifacts
 
 
 def cmd_tpo(config, stages, params_path):
@@ -435,9 +433,7 @@ def cmd_tpo(config, stages, params_path):
         serialize.to_canonical_json(dataclasses.asdict(rep)) + "\n"
         for rep in reports))
     serialize.dump_json(serialize.policy_to_json(policy), out / "policy.json")
-    _write_manifest(out, config, {"tpo_report": out / "tpo_report.jsonl",
-                                  "policy": out / "policy.json"})
-    return 0
+    return {"tpo_report": out / "tpo_report.jsonl", "policy": out / "policy.json"}
 
 
 def cmd_plot(config, csv_path, svg_path):
@@ -462,7 +458,6 @@ def cmd_plot(config, csv_path, svg_path):
     target = Path(svg_path) if svg_path else out / (path.stem + ".svg")
     serialize.write_text(target, svg)
     print(f"wrote {target}")
-    return 0
 
 
 def build_parser():
@@ -508,18 +503,20 @@ def main(argv=None):
     try:
         config = load_config(args)
         stages = build_stages(config)
-        if args.command == "datagen":
-            return cmd_datagen(config, stages)
-        if args.command == "train-surrogate":
-            return cmd_train_surrogate(config, stages, args.dataset)
-        if args.command == "identify":
-            return cmd_identify(config, stages, args.episodes, args.checkpoint,
-                                args.method)
-        if args.command == "tpo":
-            return cmd_tpo(config, stages, args.params)
-        if args.command == "plot":
-            return cmd_plot(config, args.csv, args.svg)
-        raise UsageError(f"unknown command {args.command!r}")
+        # looked up when called, as the identify routes are
+        command = {
+            "datagen": lambda: cmd_datagen(config, stages),
+            "train-surrogate": lambda: cmd_train_surrogate(config, stages,
+                                                           args.dataset),
+            "identify": lambda: cmd_identify(config, stages, args.episodes,
+                                             args.checkpoint, args.method),
+            "tpo": lambda: cmd_tpo(config, stages, args.params),
+            "plot": lambda: cmd_plot(config, args.csv, args.svg),
+        }[args.command]
+        artifacts = command()
+        if artifacts is not None:  # plot records no manifest
+            _write_manifest(config, artifacts)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

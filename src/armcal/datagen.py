@@ -79,13 +79,13 @@ def sample_params(n, bounds: ParamBounds, seed):
     return [PhysParams.from_array(v) for v in draws]
 
 
-def excitation_actions(horizon, n_joints, rng, hold=EXCITATION_HOLD_STEPS):
+def excitation_actions(horizon, n_joints, rng):
     """Piecewise-constant random joint targets in [-pi, pi], re-sampled every
-    `hold` steps. Persistent excitation; a constant target would only pin the
-    equilibrium."""
-    n_segments = int(np.ceil(horizon / hold))
+    EXCITATION_HOLD_STEPS steps. Persistent excitation; a constant target
+    would only pin the equilibrium."""
+    n_segments = int(np.ceil(horizon / EXCITATION_HOLD_STEPS))
     levels = rng.uniform(-np.pi, np.pi, (n_segments, n_joints))
-    return np.repeat(levels, hold, axis=0)[:horizon]
+    return np.repeat(levels, EXCITATION_HOLD_STEPS, axis=0)[:horizon]
 
 
 def make_synthetic_real(theta_star: PhysParams, n_episodes, horizon,

@@ -85,9 +85,9 @@ class PhysParams:
     def from_array(vec):
         return PhysParams(float(vec[0]), float(vec[1]), float(vec[2]))
 
-    def within(self, bounds: ParamBounds, tol: float = 0.0) -> bool:
+    def within(self, bounds: ParamBounds) -> bool:
         v = self.as_array()
-        return bool(np.all(v >= bounds.lows() - tol) and np.all(v <= bounds.highs() + tol))
+        return bool(np.all(v >= bounds.lows()) and np.all(v <= bounds.highs()))
 
 
 @dataclass(frozen=True)

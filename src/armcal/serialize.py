@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import numbers
 import os
 from pathlib import Path
 
@@ -24,6 +25,9 @@ from .tpo import PolicyNet
 
 DATASET_KEYS = ("f", "p", "d", "state_q", "state_qd", "action", "next_q", "next_qd")
 REPORT_HEADER = "method,traj_err,rot_err,trans_err,time_s"
+# training_meta may be absent: it records the run, not the model
+CHECKPOINT_KEYS = ("layer_dims", "weights", "biases", "activation",
+                   "norm_stats", "bounds", "rng_seed")
 # Dataset rows per block: the writer formats a block's parts in %-format
 # calls, which keeps the per-float Python overhead off it, and keeps the texts
 # of two blocks' parts at most; the reader converts a block of parsed rows to
@@ -151,6 +155,11 @@ def read_dataset(path):
                 row = [obj["f"], obj["p"], obj["d"], *obj["state_q"],
                        *obj["state_qd"], *obj["action"], *obj["next_q"],
                        *obj["next_qd"]]
+                # every JSON number decodes to a float; null, a bool, a
+                # string or a list would be read as a number or fail later
+                if set(map(type, row)) != {float}:
+                    raise ValueError("not a JSON number: " + repr(
+                        next(v for v in row if type(v) is not float)))
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: malformed dataset line {lineno}: {exc}")
             if width is None:
@@ -237,8 +246,18 @@ def bounds_to_json(b: ParamBounds):
 
 
 def bounds_from_json(doc):
-    return ParamBounds(doc["f"][0], doc["f"][1], doc["p"][0], doc["p"][1],
-                       doc["d"][0], doc["d"][1])
+    """The ParamBounds in `doc`; a ValueError unless each of f, p and d is a
+    list of exactly two real numbers, no bool among them."""
+    ends = []
+    for key in "fpd":
+        pair = doc.get(key) if isinstance(doc, dict) else None
+        if not (isinstance(pair, list) and len(pair) == 2 and all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool)
+                for v in pair)):
+            raise ValueError(f"bounds.{key} must be a list of two numbers, "
+                             f"got {pair!r}")
+        ends += pair
+    return ParamBounds(*ends)
 
 
 def norm_stats_to_json(stats: NormStats):
@@ -265,9 +284,16 @@ def checkpoint_to_json(model: MlpCheckpoint):
 
 
 def checkpoint_from_json(doc):
-    """The checkpoint in `doc`; a ValueError names an activation other than
-    tanh, or a layer or norm_stats vector whose shape disagrees with
-    layer_dims."""
+    """The checkpoint in `doc`; a ValueError names a missing key, a
+    training_meta that is no object, an activation other than tanh, a layer
+    or norm_stats vector whose shape disagrees with layer_dims or that holds
+    a non-finite value, or bounds that bounds_from_json rejects."""
+    for key in CHECKPOINT_KEYS:
+        if key not in doc:
+            raise ValueError(f"missing key {key!r}")
+    meta = doc.get("training_meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"training_meta must be an object, got {meta!r}")
     dims = tuple(doc["layer_dims"])
     weights = [np.array(W, dtype=float) for W in doc["weights"]]
     biases = [np.array(b, dtype=float) for b in doc["biases"]]
@@ -281,17 +307,23 @@ def checkpoint_from_json(doc):
         if (W.shape, b.shape) != want[i]:
             raise ValueError(f"layer {i} has weight and bias shapes "
                              f"{W.shape}, {b.shape}; layer_dims give {want[i]}")
+        if not (np.isfinite(W).all() and np.isfinite(b).all()):
+            raise ValueError(f"layer {i} holds a non-finite value")
     for key in ("mean", "std"):  # one entry per input and output column
-        shape = np.shape(doc["norm_stats"][key])
-        if shape != (dims[0] + dims[-1],):
-            raise ValueError(f"norm_stats.{key} has shape {shape}; layer_dims "
-                             f"give ({dims[0] + dims[-1]},)")
+        if key not in doc["norm_stats"]:
+            raise ValueError(f"missing key 'norm_stats.{key}'")
+        vec = np.array(doc["norm_stats"][key], dtype=float)
+        if vec.shape != (dims[0] + dims[-1],):
+            raise ValueError(f"norm_stats.{key} has shape {vec.shape}; "
+                             f"layer_dims give ({dims[0] + dims[-1]},)")
+        if not np.isfinite(vec).all():
+            raise ValueError(f"norm_stats.{key} holds a non-finite value")
     return MlpCheckpoint(
         dims, weights, biases, doc["activation"],
         norm_stats_from_json(doc["norm_stats"]),
         bounds_from_json(doc["bounds"]),
         int(doc["rng_seed"]),
-        dict(doc.get("training_meta", {})),
+        dict(meta),
     )
 
 

@@ -314,17 +314,16 @@ def preference_beta(exploration_std):
 
 
 def tpo_cycle(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
-              plant_cfg: PlantConfig, cycle_index=0, seed_seq=None):
+              plant_cfg: PlantConfig, cycle_index=0):
     """One fine-tuning cycle: freeze reference, roll out a batch, rank, run
     epochs_per_cycle gradient steps on the preference loss at
     beta = 1/sigma^2, sigma the policy's exploration noise."""
     beta = preference_beta(policy.exploration_std)
-    if seed_seq is None:
-        seed_seq = np.random.SeedSequence((cfg.seed, cycle_index))
     goal = np.asarray(goal, dtype=float)
     qs, qds, executed, rewards = _rollout_arrays(
         policy, params, goal, plant_cfg, cfg.rollout_horizon,
-        _spawn_rngs(seed_seq, cfg.rollouts_per_cycle))
+        _spawn_rngs(np.random.SeedSequence((cfg.seed, cycle_index)),
+                    cfg.rollouts_per_cycle))
     mean_before = float(np.mean(rewards))
     obs = np.concatenate([qs[:-1], qds[:-1], np.broadcast_to(
         goal, (*executed.shape[:2], len(goal)))], axis=2)  # (T, B, 2N + 2)

@@ -54,6 +54,12 @@ def run(out, *args, seed=0):
     return main(["--out", str(out), "--seed", str(seed), *FAST, *args])
 
 
+def loaded_hash(*args):
+    """The hash of the config that these global options load."""
+    args = cli.build_parser().parse_args([*args, "datagen"])
+    return serialize.config_hash(cli.load_config(args))
+
+
 class TestExitCodes:
     def test_usage_error_unknown_config_key(self, tmp_path):
         assert main(["--out", str(tmp_path), "--set", "nope.x=1",
@@ -176,6 +182,9 @@ class TestExitCodes:
         "surrogate.hidden_width=0",  # no layer to build
         "run_seed=-1",  # no seed sequence to derive
         "bounds.f=[-5,10]",  # ParamBounds: its points must be valid params
+        # two real numbers per parameter: no third one dropped, no bool as 1
+        "bounds.f=[0,10,99]",
+        "bounds.f=[true,10]",
     ])
     def test_usage_error_value_a_stage_rejects(self, tmp_path, assignment):
         # every stage's config is built at load, whatever the command
@@ -238,6 +247,41 @@ class TestDatagen:
                             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
         assert env["numpy"] == np.__version__
         assert env["cpu_count"] >= 1
+
+
+class TestManifest:
+    @staticmethod
+    def written(out, before):
+        """The files in out that are new or rewritten since before: a rewrite
+        replaces the file, so its inode or mtime changes."""
+        after = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns)
+                 for p in out.iterdir()}
+        return after, {n for n in after if before.get(n) != after[n]}
+
+    def test_artifacts_are_the_files_a_command_writes(self, tmp_path):
+        out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+        assert run(elsewhere, "datagen") == 0
+        (elsewhere / "truth.json").unlink()  # so no recovery error
+        files = {}
+        for command in (["datagen"], ["train-surrogate"], ["identify"],
+                        ["identify", "--method", "surrogate"], ["tpo"],
+                        ["train-surrogate", "--dataset", str(out / "dataset.jsonl")],
+                        ["identify", "--method", "grad", "--episodes",
+                         str(elsewhere / "episodes.json")]):
+            assert run(out, *command) == 0, command
+            files, written = self.written(out, files)
+            artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+            assert "manifest.json" in written, command
+            assert {Path(p).parent for p in artifacts.values()} == {out}
+            assert {Path(p).name for p in artifacts.values()} == \
+                written - {"manifest.json"}, command
+        # plot records no manifest, and a failing command leaves none
+        assert run(out, "plot", str(out / "train_loss.csv")) == 0
+        assert run(out, "train-surrogate", "--dataset",
+                   str(out / "identify_report.csv")) == 1
+        assert self.written(out, files)[1] == {"train_loss.svg"}
+        assert run(tmp_path / "fresh", "identify") == 2
+        assert not (tmp_path / "fresh" / "manifest.json").exists()
 
 
 class TestTrainSurrogate:
@@ -381,6 +425,16 @@ class TestPipeline:
         ("norm_stats.mean", lambda doc: doc["norm_stats"].update(
             {k: v[:-2] for k, v in doc["norm_stats"].items()})),
         ("norm_stats.std", lambda doc: doc["norm_stats"]["std"].pop()),
+        ("'weights'", lambda doc: doc.pop("weights")),
+        ("'bounds'", lambda doc: doc.pop("bounds")),
+        ("'norm_stats.mean'", lambda doc: doc["norm_stats"].pop("mean")),
+        ("training_meta", lambda doc: doc.update(training_meta=[1])),
+        # json writes and reads NaN and Infinity
+        ("layer 0 holds a non-finite value",
+         lambda doc: doc["weights"][0][0].__setitem__(0, float("nan"))),
+        ("norm_stats.mean holds a non-finite value",
+         lambda doc: doc["norm_stats"]["mean"].__setitem__(0, float("inf"))),
+        ("bounds.f", lambda doc: doc["bounds"].update(f=[0, 10, 99])),
     ])
     def test_surrogate_rejects_a_malformed_checkpoint(self, tmp_path, capsys,
                                                       field, edit):
@@ -552,18 +606,27 @@ class TestConfigPlumbing:
         assert len(lines) == 2 * 1 * 4  # one of the two episodes held out
 
     def test_set_section_merges_like_config_file(self, tmp_path):
-        def config_hash(*args):
-            args = cli.build_parser().parse_args([*args, "datagen"])
-            return serialize.config_hash(cli.load_config(args))
-
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tpo": {"learning_rate": 0.001}}))
-        want = config_hash("--set", "tpo.learning_rate=0.001")
-        assert config_hash("--set", 'tpo={"learning_rate":0.001}') == want
-        assert config_hash("--config", str(cfg)) == want
-        assert want != config_hash()
+        want = loaded_hash("--set", "tpo.learning_rate=0.001")
+        assert loaded_hash("--set", 'tpo={"learning_rate":0.001}') == want
+        assert loaded_hash("--config", str(cfg)) == want
+        assert want != loaded_hash()
         assert run(tmp_path, "--set", 'tpo={"learning_rate":0.001}',
                    "datagen") == 0
+
+    @pytest.mark.parametrize("key", DEFAULT_LEAF_KEYS)
+    def test_set_is_the_one_key_config_override(self, tmp_path, key):
+        value = default_config()
+        for part in key.split("."):
+            value = value[part]
+        override = value
+        for part in reversed(key.split(".")):
+            override = {part: override}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(override))
+        assert loaded_hash("--set", f"{key}={json.dumps(value)}") == \
+            loaded_hash("--config", str(cfg))
 
     def test_unknown_file_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

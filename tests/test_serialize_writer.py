@@ -231,3 +231,21 @@ class TestReader:
         path.write_text(json.dumps(obj) + "\n")
         with pytest.raises(ValueError, match="line 1"):
             serialize.read_dataset(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("state_q", [None, 0.5]), ("f", None),
+        ("state_q", ["0.5", 0.5]), ("f", True), ("action", [False, 0.5]),
+        ("f", [1.0, 2.0]),  # a list where a number belongs
+        ("next_q", [[0.5], 0.5]),
+    ])
+    def test_non_number_reports_file_and_line(self, tmp_path, key, value):
+        # null, a bool or a string would read as nan, 0/1 or the number it
+        # spells; a list would fail in the array conversion, lineless
+        rows = make_rows(2, m=2)
+        obj = json.loads(serialize.dataset_line(rows[1], 2))
+        obj[key] = value
+        path = tmp_path / "d.jsonl"
+        path.write_text(serialize.dataset_line(rows[0], 2) + "\n"
+                        + json.dumps(obj) + "\n")
+        with pytest.raises(ValueError, match="d.jsonl: malformed dataset line 2"):
+            serialize.read_dataset(path)
