@@ -7,7 +7,7 @@ refines through that checkpoint. `--set a.b=V` is the one-key `--config`
 override {"a": {"b": V}}. Each command returns the artifacts it wrote, and
 `main` alone records them in manifest.json (plot records none). All
 randomness is derived from the configured run seed; no wall-clock seeding.
-Exit codes: 0 success, 2 usage/config error, 1 runtime error.
+Exit codes: 0 success, 2 usage, config or input-file error, 1 runtime error.
 """
 
 import argparse
@@ -71,24 +71,18 @@ def default_config():
     return config
 
 
-def _finite_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _check_type(key, default, value):
     """An override keeps the type of its default: an int key takes no float
     or bool, a float key takes a finite float or an int, a None default
     takes anything."""
-    if default is None:
-        return
-    if isinstance(default, float):
-        ok, kind = _finite_number(value), "finite number"
-    else:
-        ok = (isinstance(value, type(default))
-              and isinstance(value, bool) == isinstance(default, bool))
-        kind = type(default).__name__
-    if not ok:
-        raise UsageError(f"config key {key} expects a {kind}, got {value!r}")
+    try:
+        if isinstance(default, float):
+            serialize._entry({key: value}, key)
+        elif default is not None and type(value) is not type(default):
+            raise ValueError(f"{key} must be a {type(default).__name__}, "
+                             f"got {value!r}")
+    except ValueError as exc:
+        raise UsageError(f"config key {exc}")
 
 
 def _merge(base, override, prefix=""):
@@ -123,13 +117,9 @@ def _apply_set(config, assignment):
 def load_config(args):
     config = default_config()
     if args.config is not None:
-        path = _input_file(args.config, "config file")
-        try:
-            user = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"invalid config JSON: {exc}")
+        user = _read_input(args.config, "config", serialize.load_json)
         if not isinstance(user, dict):
-            raise UsageError(f"config file {path} must hold a JSON object")
+            raise UsageError(f"config file {args.config} must hold a JSON object")
         config = _merge(config, user)
     for assignment in args.set or []:
         config = _apply_set(config, assignment)
@@ -150,15 +140,15 @@ def _check_unbacked(config):
             raise UsageError(f"{key} must be >= 1, got {value}")
     if config["run_seed"] < 0:
         raise UsageError(f"the run seed must be >= 0, got {config['run_seed']}")
-    goal = config["tpo"]["goal"]
-    if not (len(goal) == 2 and all(_finite_number(v) for v in goal)):
-        raise UsageError(f"tpo.goal must be 2 finite numbers, got {goal!r}")
-    truth = config["datagen"]["truth"]
-    if truth is not None and not (
-            isinstance(truth, list) and len(truth) == 3
-            and all(_finite_number(v) and v >= 0 for v in truth)):
-        raise UsageError("datagen.truth must be null or 3 finite numbers >= 0 "
-                         f"(f, p, d), got {truth!r}")
+    try:
+        serialize._entry(config, "tpo", "goal", shape=(2,))
+        truth = config["datagen"]["truth"]
+        if truth is not None and min(serialize._entry(
+                config, "datagen", "truth", shape=(3,))) < 0:
+            raise ValueError(f"datagen.truth (f, p, d) must be >= 0, "
+                             f"got {truth!r}")
+    except ValueError as exc:
+        raise UsageError(str(exc))
     if not 0 <= config["holdout_fraction"] < 1:
         raise UsageError(f"holdout_fraction must be in [0, 1), "
                          f"got {config['holdout_fraction']!r}")
@@ -178,7 +168,7 @@ def build_stages(config):
     seeds = _seeds(config)
     name = "bounds"
     try:
-        bounds = serialize.bounds_from_json(config["bounds"])
+        bounds = serialize.bounds_from_json(config, "bounds")
         set_by_cli = {"surrogate": {"seed": seeds["surrogate_train"]},
                       "refine": {"bounds": bounds},
                       "anneal": {"seed": seeds["anneal"], "bounds": bounds},
@@ -240,19 +230,29 @@ def _truth_params(config, seeds, bounds):
     return PhysParams.from_array(bounds.from_unit(0.15 + 0.7 * rng.random(3)))
 
 
-def _input_file(path, what):
-    """`path` as a Path; a missing input file is a usage error."""
-    path = Path(path)
-    if not path.exists():
-        raise UsageError(f"{what} not found: {path}")
-    return path
+def _read_input(path, what, *readers):
+    """The input file at `path` passed through each of readers in turn. A
+    missing file or a path that is no file, and a ValueError of a reader
+    (JSON that does not parse among them), are usage errors that name the
+    file."""
+    value = path = Path(path)
+    if not path.is_file():
+        raise UsageError(f"{path}: no {what} file")
+    try:
+        for reader in readers:
+            value = reader(value)
+        return value
+    except ValueError as exc:  # read_dataset names the file itself
+        message = str(exc)
+        raise UsageError(message if message.startswith(f"{path}: ")
+                         else f"{path}: {message}")
 
 
 def _load_episodes(path, plant_cfg):
     """The episodes at `path`; episodes recorded for another number of
     joints than the configured plant's are a usage error."""
-    episodes = serialize.episodes_from_json(
-        serialize.load_json(_input_file(path, "episodes file")))
+    episodes = _read_input(path, "episodes", serialize.load_json,
+                           serialize.episodes_from_json)
     if any(ep.actions.shape[1] != plant_cfg.n_joints for ep in episodes.episodes):
         raise UsageError(f"episodes in {path} do not match configured n_joints")
     return episodes
@@ -262,11 +262,8 @@ def _load_checkpoint(path, stages):
     """The surrogate checkpoint at `path`; a malformed one, or one trained
     for another number of joints or in other bounds than the configured
     ones, is a usage error."""
-    doc = serialize.load_json(_input_file(path, "checkpoint"))
-    try:
-        model = serialize.checkpoint_from_json(doc)
-    except ValueError as exc:
-        raise UsageError(f"invalid checkpoint: {exc}")
+    model = _read_input(path, "checkpoint", serialize.load_json,
+                        serialize.checkpoint_from_json)
     n = stages["plant"].n_joints
     if model.layer_dims[0] != 3 + 3 * n or model.layer_dims[-1] != 2 * n:
         raise UsageError("checkpoint layout does not match configured n_joints")
@@ -302,7 +299,7 @@ def cmd_train_surrogate(config, stages, dataset_path):
     plant_cfg = stages["plant"]
     artifacts = {}
     if dataset_path:
-        data = serialize.read_dataset(_input_file(dataset_path, "dataset"))
+        data = _read_input(dataset_path, "dataset", serialize.read_dataset)
         if data.shape[1] != 3 + 5 * plant_cfg.n_joints:
             raise UsageError("dataset layout does not match configured n_joints")
         # a dataset records no bounds: its rows must lie in the configured
@@ -376,7 +373,8 @@ def cmd_identify(config, stages, episodes_path, checkpoint_path, method):
     episodes = _load_episodes(path, plant_cfg)
     train_eps, eval_eps = _split_holdout(episodes, config["holdout_fraction"])
     truth_path = path.parent / "truth.json"
-    truth = (serialize.params_from_json(serialize.load_json(truth_path))
+    truth = (_read_input(truth_path, "truth", serialize.load_json,
+                         serialize.params_from_json)
              if truth_path.exists() else None)
 
     # looked up when they run, so that a wrapper set on identify's functions
@@ -415,8 +413,9 @@ def cmd_identify(config, stages, episodes_path, checkpoint_path, method):
 
 def cmd_tpo(config, stages, params_path):
     out = _outdir(config)
-    params = serialize.params_from_json(serialize.load_json(_input_file(
-        params_path or out / "identified_params.json", "identified parameter file")))
+    params = _read_input(params_path or out / "identified_params.json",
+                         "identified parameter", serialize.load_json,
+                         serialize.params_from_json)
     t = config["tpo"]
     plant_cfg = stages["plant"]
     policy = tpo.init_policy(plant_cfg.n_joints, seed=stages["seeds"]["tpo"],
@@ -438,8 +437,8 @@ def cmd_tpo(config, stages, params_path):
 
 def cmd_plot(config, csv_path, svg_path):
     out = _outdir(config)
-    path = _input_file(csv_path, "CSV file")
-    lines = path.read_text().strip().splitlines()
+    path = Path(csv_path)
+    lines = _read_input(path, "CSV", Path.read_text).strip().splitlines()
     if not lines or lines[0].strip() != "step,value":
         raise UsageError("CSV must start with header 'step,value'")
     steps, values = [], []

@@ -12,7 +12,7 @@ import contextlib
 import hashlib
 import itertools
 import json
-import numbers
+import math
 import os
 from pathlib import Path
 
@@ -25,9 +25,6 @@ from .tpo import PolicyNet
 
 DATASET_KEYS = ("f", "p", "d", "state_q", "state_qd", "action", "next_q", "next_qd")
 REPORT_HEADER = "method,traj_err,rot_err,trans_err,time_s"
-# training_meta may be absent: it records the run, not the model
-CHECKPOINT_KEYS = ("layer_dims", "weights", "biases", "activation",
-                   "norm_stats", "bounds", "rng_seed")
 # Dataset rows per block: the writer formats a block's parts in %-format
 # calls, which keeps the per-float Python overhead off it, and keeps the texts
 # of two blocks' parts at most; the reader converts a block of parsed rows to
@@ -48,6 +45,43 @@ _DATASET_DECODER = json.JSONDecoder(parse_int=float,
 
 def f17(x):
     return format(float(x), ".17g")
+
+
+def _entry(doc, *path, shape=()):
+    """The entry at `path` (dict keys and list indices) of `doc`: a float for
+    shape (), else a float array of `shape` (None matching any length); an
+    int for shape int, a list for shape list. A ValueError names the key
+    path of an entry that is missing, null, a bool, a string, a ragged list,
+    a non-finite number or of another shape."""
+    name = ".".join(map(str, path))
+    value = doc
+    for i, key in enumerate(path):
+        try:
+            value = value[key]
+        except (KeyError, IndexError, TypeError):
+            missing = ".".join(map(str, path[:i + 1]))
+            raise ValueError(f"missing key {missing!r}") from None
+    if shape in (int, list):  # type(True) is bool, not int
+        if type(value) is not shape:
+            raise ValueError(f"{name} must be of type {shape.__name__}, "
+                             f"got {value!r}")
+        return value
+    array = np.array(value, dtype=object)  # the JSON values themselves
+    if (array.ndim != len(shape)
+            or any(n not in (None, m) for n, m in zip(shape, array.shape))):
+        raise ValueError(f"{name} has shape {array.shape}, expected "
+                         + str(shape).replace("None", "any"))
+    leaves = array.ravel().tolist()
+    if not set(map(type, leaves)) <= {int, float}:  # at C speed
+        bad = next(v for v in leaves if type(v) not in (int, float))
+        raise ValueError(f"{name} holds {bad!r}, which is not a number")
+    try:
+        array = array.astype(float)
+    except OverflowError:  # an integer beyond the largest float
+        raise ValueError(f"{name} holds a non-finite value") from None
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} holds a non-finite value")
+    return array if shape else float(array)
 
 
 # --- transition dataset (JSON lines) ----------------------------------------
@@ -143,8 +177,11 @@ def write_dataset(path, rows, n_joints):
 def read_dataset(path):
     """Load a JSON-lines dataset back into the flat (M, 3 + 5N) layout. Rows
     are collected as lists and converted DATASET_BLOCK_ROWS at a time, which
-    bounds the memory held in Python floats."""
+    bounds the memory held in Python floats. A line whose values are not
+    all finite floats in the first line's shapes is read again through
+    _entry, which names the key at fault."""
     blocks, rows, width = [], [], None
+    shapes = {key: () if key in "fpd" else (None,) for key in DATASET_KEYS}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -152,21 +189,22 @@ def read_dataset(path):
                 continue
             try:
                 obj = _DATASET_DECODER.decode(line)
-                row = [obj["f"], obj["p"], obj["d"], *obj["state_q"],
-                       *obj["state_qd"], *obj["action"], *obj["next_q"],
-                       *obj["next_qd"]]
-                # every JSON number decodes to a float; null, a bool, a
-                # string or a list would be read as a number or fail later
-                if set(map(type, row)) != {float}:
-                    raise ValueError("not a JSON number: " + repr(
-                        next(v for v in row if type(v) is not float)))
-            except (ValueError, KeyError, TypeError) as exc:
+                try:
+                    row = [obj["f"], obj["p"], obj["d"], *obj["state_q"],
+                           *obj["state_qd"], *obj["action"], *obj["next_q"],
+                           *obj["next_qd"]]
+                except (KeyError, TypeError):
+                    row = None
+                if (row is None or len(row) != width
+                        or set(map(type, row)) != {float}
+                        or not math.isfinite(sum(row))):
+                    row = [v for key in DATASET_KEYS for v in np.ravel(
+                        _entry(obj, key, shape=shapes[key])).tolist()]
+            except ValueError as exc:
                 raise ValueError(f"{path}: malformed dataset line {lineno}: {exc}")
             if width is None:
                 width = len(row)
-            elif len(row) != width:
-                raise ValueError(f"{path}: malformed dataset line {lineno}: "
-                                 f"{len(row)} values, expected {width}")
+                shapes = {key: np.shape(obj[key]) for key in DATASET_KEYS}
             rows.append(row)
             if len(rows) == DATASET_BLOCK_ROWS:
                 blocks.append(np.array(rows, dtype=float))
@@ -189,9 +227,16 @@ def episodes_to_json(episodes: EpisodeSet):
 
 
 def episodes_from_json(doc):
-    eps = tuple(Episode(e["actions"], e["observed_q"], e["observed_qd"])
-                for e in doc["episodes"])
-    return EpisodeSet(eps, source=doc.get("source", "simulated"))
+    """The EpisodeSet in `doc`: observed q and qd hold a row more than the
+    actions."""
+    episodes = []
+    for i in range(len(_entry(doc, "episodes", shape=list))):
+        actions = _entry(doc, "episodes", i, "actions", shape=(None, None))
+        rows = (len(actions) + 1, actions.shape[1])
+        q, qd = (_entry(doc, "episodes", i, key, shape=rows)
+                 for key in ("observed_q", "observed_qd"))
+        episodes.append(Episode(actions, q, qd))
+    return EpisodeSet(tuple(episodes), source=doc.get("source", "simulated"))
 
 
 # --- misc JSON documents -----------------------------------------------------
@@ -238,34 +283,27 @@ def params_to_json(params: PhysParams):
 
 
 def params_from_json(doc):
-    return PhysParams(float(doc["f"]), float(doc["p"]), float(doc["d"]))
+    return PhysParams(*(_entry(doc, key) for key in "fpd"))
 
 
 def bounds_to_json(b: ParamBounds):
     return {"f": [b.f_min, b.f_max], "p": [b.p_min, b.p_max], "d": [b.d_min, b.d_max]}
 
 
-def bounds_from_json(doc):
-    """The ParamBounds in `doc`; a ValueError unless each of f, p and d is a
-    list of exactly two real numbers, no bool among them."""
-    ends = []
-    for key in "fpd":
-        pair = doc.get(key) if isinstance(doc, dict) else None
-        if not (isinstance(pair, list) and len(pair) == 2 and all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool)
-                for v in pair)):
-            raise ValueError(f"bounds.{key} must be a list of two numbers, "
-                             f"got {pair!r}")
-        ends += pair
-    return ParamBounds(*ends)
+def bounds_from_json(doc, *path):
+    """The ParamBounds at `path` in `doc`: two numbers for each of f, p, d."""
+    return ParamBounds(*(v for key in "fpd" for v in _entry(
+        doc, *path, key, shape=(2,)).tolist()))
 
 
 def norm_stats_to_json(stats: NormStats):
     return {"mean": stats.mean, "std": stats.std}
 
 
-def norm_stats_from_json(doc):
-    return NormStats(np.array(doc["mean"]), np.array(doc["std"]))
+def norm_stats_from_json(doc, *path, size=None):
+    """The NormStats at `path` in `doc`: two vectors of `size` numbers."""
+    return NormStats(*(_entry(doc, *path, key, shape=(size,))
+                       for key in ("mean", "std")))
 
 
 # --- checkpoints -------------------------------------------------------------
@@ -284,60 +322,35 @@ def checkpoint_to_json(model: MlpCheckpoint):
 
 
 def checkpoint_from_json(doc):
-    """The checkpoint in `doc`; a ValueError names a missing key, a
-    training_meta that is no object, an activation other than tanh, a layer
-    or norm_stats vector whose shape disagrees with layer_dims or that holds
-    a non-finite value, or bounds that bounds_from_json rejects."""
-    for key in CHECKPOINT_KEYS:
-        if key not in doc:
-            raise ValueError(f"missing key {key!r}")
+    """The checkpoint in `doc`; a ValueError names the key path of an entry
+    that _entry rejects or that disagrees with layer_dims, of an activation
+    other than tanh, or of a training_meta that is no object."""
+    dims = tuple(_entry(doc, "layer_dims", i, shape=int)
+                 for i in range(len(_entry(doc, "layer_dims", shape=list))))
+    layers = [len(_entry(doc, key, shape=list)) for key in ("weights", "biases")]
+    if layers != [len(dims) - 1] * 2:
+        raise ValueError("{} weight and {} bias layers, layer_dims {} give "
+                         "{}".format(*layers, list(dims), len(dims) - 1))
+    weights = [_entry(doc, "weights", i, shape=(n_out, n_in))
+               for i, (n_in, n_out) in enumerate(zip(dims[:-1], dims[1:]))]
+    biases = [_entry(doc, "biases", i, shape=(n,)) for i, n in enumerate(dims[1:])]
+    if doc.get("activation") != "tanh":
+        raise ValueError("activation must be 'tanh', got "
+                         f"{doc.get('activation')!r}")
     meta = doc.get("training_meta", {})
     if not isinstance(meta, dict):
         raise ValueError(f"training_meta must be an object, got {meta!r}")
-    dims = tuple(doc["layer_dims"])
-    weights = [np.array(W, dtype=float) for W in doc["weights"]]
-    biases = [np.array(b, dtype=float) for b in doc["biases"]]
-    if doc["activation"] != "tanh":
-        raise ValueError(f"activation must be 'tanh', got {doc['activation']!r}")
-    want = [((o, i), (o,)) for i, o in zip(dims[:-1], dims[1:])]
-    if not len(weights) == len(biases) == len(want):
-        raise ValueError(f"{len(weights)} weight and {len(biases)} bias "
-                         f"layers, layer_dims {list(dims)} give {len(want)}")
-    for i, (W, b) in enumerate(zip(weights, biases)):
-        if (W.shape, b.shape) != want[i]:
-            raise ValueError(f"layer {i} has weight and bias shapes "
-                             f"{W.shape}, {b.shape}; layer_dims give {want[i]}")
-        if not (np.isfinite(W).all() and np.isfinite(b).all()):
-            raise ValueError(f"layer {i} holds a non-finite value")
-    for key in ("mean", "std"):  # one entry per input and output column
-        if key not in doc["norm_stats"]:
-            raise ValueError(f"missing key 'norm_stats.{key}'")
-        vec = np.array(doc["norm_stats"][key], dtype=float)
-        if vec.shape != (dims[0] + dims[-1],):
-            raise ValueError(f"norm_stats.{key} has shape {vec.shape}; "
-                             f"layer_dims give ({dims[0] + dims[-1]},)")
-        if not np.isfinite(vec).all():
-            raise ValueError(f"norm_stats.{key} holds a non-finite value")
     return MlpCheckpoint(
-        dims, weights, biases, doc["activation"],
-        norm_stats_from_json(doc["norm_stats"]),
-        bounds_from_json(doc["bounds"]),
-        int(doc["rng_seed"]),
-        dict(meta),
-    )
+        dims, weights, biases, "tanh",
+        norm_stats_from_json(doc, "norm_stats", size=dims[0] + dims[-1]),
+        bounds_from_json(doc, "bounds"), _entry(doc, "rng_seed", shape=int),
+        dict(meta))
 
 
 def policy_to_json(policy: PolicyNet):
     return {"layer_dims": list(policy.layer_dims),
             "weights": list(policy.weights), "biases": list(policy.biases),
             "exploration_std": policy.exploration_std}
-
-
-def policy_from_json(doc):
-    return PolicyNet(tuple(doc["layer_dims"]),
-                     [np.array(W, dtype=float) for W in doc["weights"]],
-                     [np.array(b, dtype=float) for b in doc["biases"]],
-                     float(doc["exploration_std"]))
 
 
 # --- reports -----------------------------------------------------------------

@@ -4,11 +4,18 @@ Runs use deliberately tiny configurations so the full command chain stays
 fast; full-scale behavior is covered by the acceptance suite.
 """
 
+import contextlib
+import io
 import json
+import re
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from armcal import cli, serialize
 from armcal.cli import default_config, main
@@ -98,11 +105,11 @@ class TestExitCodes:
                      "datagen"]) == 2
 
     def test_runtime_error_is_exit_1(self, tmp_path):
-        # structurally valid config that fails at runtime: a dataset file
-        # with malformed content
-        broken = tmp_path / "broken.jsonl"
-        broken.write_text("{broken\n")
-        assert run(tmp_path, "train-surrogate", "--dataset", str(broken)) == 1
+        # valid config and inputs, but an artifact cannot be written: its
+        # path is a directory
+        (tmp_path / "episodes.json").mkdir()
+        assert run(tmp_path, "datagen") == 1
+        assert not list(tmp_path.glob(".*.tmp"))
 
     @pytest.mark.parametrize("assignment", [
         "datagen.truth.x=1", "tpo.goal.x=1", "output_dir.x=1"])
@@ -278,7 +285,7 @@ class TestManifest:
         # plot records no manifest, and a failing command leaves none
         assert run(out, "plot", str(out / "train_loss.csv")) == 0
         assert run(out, "train-surrogate", "--dataset",
-                   str(out / "identify_report.csv")) == 1
+                   str(out / "identify_report.csv")) == 2
         assert self.written(out, files)[1] == {"train_loss.svg"}
         assert run(tmp_path / "fresh", "identify") == 2
         assert not (tmp_path / "fresh" / "manifest.json").exists()
@@ -419,7 +426,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("field, edit", [
         ("activation", lambda doc: doc.update(activation="relu")),
-        ("layer 1", lambda doc: doc["weights"][1].pop()),  # one row short
+        ("weights.1 has shape", lambda doc: doc["weights"][1].pop()),  # a row short
         ("bias layers", lambda doc: doc["biases"].pop()),
         # two entries short in both vectors, then in std alone
         ("norm_stats.mean", lambda doc: doc["norm_stats"].update(
@@ -430,7 +437,7 @@ class TestPipeline:
         ("'norm_stats.mean'", lambda doc: doc["norm_stats"].pop("mean")),
         ("training_meta", lambda doc: doc.update(training_meta=[1])),
         # json writes and reads NaN and Infinity
-        ("layer 0 holds a non-finite value",
+        ("weights.0 holds a non-finite value",
          lambda doc: doc["weights"][0][0].__setitem__(0, float("nan"))),
         ("norm_stats.mean holds a non-finite value",
          lambda doc: doc["norm_stats"]["mean"].__setitem__(0, float("inf"))),
@@ -685,3 +692,127 @@ class TestPlot:
         assert main(["--out", str(tmp_path), *FAST, "plot", str(csv),
                      "--svg", str(target)]) == 0
         assert target.read_text().startswith("<svg ")
+
+
+@pytest.fixture(scope="module")
+def fast_inputs(tmp_path_factory):
+    """The files of one FAST run that commands read: episodes, truth,
+    identified parameters, checkpoint and dataset."""
+    out = tmp_path_factory.mktemp("fast_inputs")
+    for command in (["datagen"], ["identify", "--method", "grad"],
+                    ["train-surrogate"]):
+        assert run(out, *command) == 0
+    return out
+
+
+def edit_paths(doc, path=()):
+    """The paths (keys and indices) of every number in doc and of every dict
+    entry that holds one; training_meta records the run, not the model."""
+    if type(doc) in (int, float):
+        yield path
+    elif isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            inner = [] if key == "training_meta" else list(
+                edit_paths(value, (*path, key)))
+            if inner and isinstance(key, str) and inner != [(*path, key)]:
+                yield (*path, key)
+            yield from inner
+
+
+def key_path(path):
+    """The dotted path from the first dict key to the last one: the entry
+    that a reader reads as one number or array."""
+    keys = [i for i, k in enumerate(path) if isinstance(k, str)]
+    return ".".join(map(str, path[keys[0]:keys[-1] + 1]))
+
+
+class TestInputFiles:
+    # each input file and a command that reads it (identify reads the
+    # truth.json beside its episodes); the dataset document is the list of
+    # its lines
+    COMMANDS = {
+        "episodes.json": ["identify", "--method", "grad",
+                          "--episodes", "episodes.json"],
+        "truth.json": ["identify", "--method", "grad",
+                       "--episodes", "episodes.json"],
+        "identified_params.json": ["tpo", "--params", "identified_params.json"],
+        "checkpoint.json": ["identify", "--method", "surrogate", "--episodes",
+                            "episodes.json", "--checkpoint", "checkpoint.json"],
+        "dataset.jsonl": ["train-surrogate", "--dataset", "dataset.jsonl"],
+    }
+    EDITS = {"null": lambda v: None, "bool": lambda v: True,
+             "string": json.dumps, "list": lambda v: [v]}
+
+    def run_on(self, fast_inputs, name, text):
+        """Exit code and stderr of the command that reads `name`, given
+        `text` in its place (None: a directory) and the FAST run's other
+        files, and the paths it wrote to its fresh output directory."""
+        with tempfile.TemporaryDirectory(dir=fast_inputs.parent) as tmp:
+            inputs, out = Path(tmp) / "inputs", Path(tmp) / "out"
+            shutil.copytree(fast_inputs, inputs)
+            target = inputs / name
+            if text is None:
+                target.unlink()
+                target.mkdir()
+            else:
+                target.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(out, *(str(inputs / a) if "." in a else a
+                                  for a in self.COMMANDS[name]))
+            return code, err.getvalue(), list(out.iterdir())
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_one_wrong_leaf_is_a_usage_error_naming_its_key(
+            self, fast_inputs, name, data):
+        text = (fast_inputs / name).read_text()
+        lines = name.endswith(".jsonl")
+        doc = [json.loads(line) for line in text.splitlines()] if lines \
+            else json.loads(text)
+        path = data.draw(st.sampled_from(list(edit_paths(doc))))
+        edit = data.draw(st.sampled_from([*self.EDITS, "delete"]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if edit == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = self.EDITS[edit](parent[path[-1]])
+        text = "".join(json.dumps(line) + "\n" for line in doc) if lines \
+            else json.dumps(doc)
+        code, err, written = self.run_on(fast_inputs, name, text)
+        assert code == 2, err
+        assert name in err
+        assert re.search(rf"[\s']{re.escape(key_path(path))}[\s'.:]", err), err
+        assert written == []
+
+    @pytest.mark.parametrize("name, edit, key", [
+        # a bool and a string where a number belongs
+        ("episodes.json", lambda doc: doc["episodes"][0]["actions"][0].__setitem__(
+            0, True), "episodes.0.actions holds True"),
+        ("episodes.json", lambda doc: doc["episodes"][1]["actions"][2].__setitem__(
+            1, "1.5"), "episodes.1.actions holds '1.5'"),
+        ("truth.json", lambda doc: doc.update(f="8", p=True, d=20), "f holds '8'"),
+        ("identified_params.json", lambda doc: doc.update(f=True, p="300"),
+         "f holds True"),
+        # a missing key, a parameter below 0 and a null
+        ("episodes.json", lambda doc: doc["episodes"][0].pop("observed_qd"),
+         "'episodes.0.observed_qd'"),
+        ("truth.json", lambda doc: doc.update(f=-1), "f=-1"),
+        ("identified_params.json", lambda doc: doc.update(f=None), "f holds None"),
+        # no JSON, and a directory in place of the file
+        ("episodes.json", "{not json", "Expecting"),
+        ("episodes.json", None, "no episodes file"),
+    ])
+    def test_bad_input_file_is_a_usage_error(self, fast_inputs, name, edit, key):
+        text = edit
+        if callable(edit):
+            doc = json.loads((fast_inputs / name).read_text())
+            edit(doc)
+            text = json.dumps(doc)
+        code, err, written = self.run_on(fast_inputs, name, text)
+        assert code == 2, err
+        assert name in err and key in err, err
+        assert written == []

@@ -111,9 +111,11 @@ class TestPolicyJson:
         weights, biases = layers
         policy = tpo.PolicyNet(self.DIMS, weights, biases, std)
         text = serialize.to_canonical_json(serialize.policy_to_json(policy))
-        back = serialize.policy_from_json(json.loads(text))
-        assert back.layer_dims == self.DIMS
-        assert back.exploration_std == std
-        assert_same_arrays(back.weights, weights)
-        assert_same_arrays(back.biases, biases)
-        assert serialize.to_canonical_json(serialize.policy_to_json(back)) == text
+        doc = json.loads(text)
+        assert tuple(doc["layer_dims"]) == self.DIMS
+        assert doc["exploration_std"] == std
+        assert_same_arrays([np.array(W, dtype=float) for W in doc["weights"]],
+                           weights)
+        assert_same_arrays([np.array(b, dtype=float) for b in doc["biases"]],
+                           biases)
+        assert serialize.to_canonical_json(doc) == text

@@ -179,13 +179,15 @@ class TestCheckpoint:
 class TestPolicy:
     def test_round_trip(self):
         pol = tpo.init_policy(2, hidden=(4, 4), seed=3, exploration_std=0.25)
-        doc = json.loads(serialize.to_canonical_json(
-            serialize.policy_to_json(pol)))
-        back = serialize.policy_from_json(doc)
-        assert back.layer_dims == pol.layer_dims
-        assert back.exploration_std == 0.25
-        for w1, w2 in zip(back.weights, pol.weights):
-            np.testing.assert_array_equal(w1, w2)
+        text = serialize.to_canonical_json(serialize.policy_to_json(pol))
+        doc = json.loads(text)
+        assert tuple(doc["layer_dims"]) == pol.layer_dims
+        assert doc["exploration_std"] == 0.25
+        for key in ("weights", "biases"):
+            for got, want in zip(doc[key], getattr(pol, key), strict=True):
+                np.testing.assert_array_equal(np.array(got, dtype=float), want)
+        # dumping the parsed document again is byte-identical
+        assert serialize.to_canonical_json(doc) == text
 
 
 class TestReports:
