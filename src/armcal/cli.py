@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage, config or input-file error, 1 runtime error.
 """
 
 import argparse
-import copy
 import dataclasses
 import json
 import math
@@ -39,22 +38,13 @@ IDENTIFY_METHODS = ("grad", "surrogate", "sa", "both")
 # Config sections whose defaults are the fields of a stage's config class.
 # The CLI sets two fields itself: `seed` from the run seed, `bounds` from
 # the bounds section.
-SECTION_CLASSES = {"plant": PlantConfig, "surrogate": surrogate.TrainConfig,
+SECTION_CLASSES = {"datagen": datagen.DatagenConfig, "plant": PlantConfig,
+                   "surrogate": surrogate.TrainConfig,
                    "refine": identify.RefineConfig,
                    "anneal": identify.AnnealConfig, "tpo": tpo.TpoConfig}
 _SET_BY_CLI = ("seed", "bounds")
-# The keys no config class backs, with their defaults. The surrogate's width
-# and the policy's exploration noise are read from where they are defined.
-_UNBACKED = {
-    "datagen": {"n_param_sets": 50, "n_episodes": 20, "horizon": 50,
-                "truth": None},
-    "surrogate": {"hidden_width": surrogate.HIDDEN_WIDTH},
-    "tpo": {"exploration_std": tpo.PolicyNet.exploration_std,
-            "goal": [1.2, 0.8]},
-    "holdout_fraction": 0.25,
-    "output_dir": "out",
-    "run_seed": 0,
-}
+# The run's own keys, which no stage reads, with their defaults.
+_RUN_KEYS = {"holdout_fraction": 0.25, "output_dir": "out", "run_seed": 0}
 
 
 def _class_fields(cls):
@@ -62,22 +52,26 @@ def _class_fields(cls):
 
 
 def default_config():
-    """A fresh copy of the default config tree."""
-    config = copy.deepcopy(_UNBACKED)
-    config["bounds"] = serialize.bounds_to_json(ParamBounds())
+    """A fresh copy of the default config tree, tuples as lists."""
+    config = {**_RUN_KEYS, "bounds": serialize.bounds_to_json(ParamBounds())}
     for name, cls in SECTION_CLASSES.items():
-        config[name] = {**{f.name: f.default for f in _class_fields(cls)},
-                        **config.get(name, {})}
+        config[name] = {f.name: list(f.default) if isinstance(f.default, tuple)
+                        else f.default for f in _class_fields(cls)}
     return config
 
 
 def _check_type(key, default, value):
     """An override keeps the type of its default: an int key takes no float
-    or bool, a float key takes a finite float or an int, a None default
-    takes anything."""
+    or bool, a float key takes a finite float or an int, a list key a list
+    of as many finite numbers, and a None key None or a list of finite
+    numbers."""
     try:
         if isinstance(default, float):
             serialize._entry({key: value}, key)
+        elif isinstance(default, list):
+            serialize._entry({key: value}, key, shape=(len(default),))
+        elif default is None and value is not None:
+            serialize._entry({key: value}, key, shape=(None,))
         elif default is not None and type(value) is not type(default):
             raise ValueError(f"{key} must be a {type(default).__name__}, "
                              f"got {value!r}")
@@ -86,7 +80,7 @@ def _check_type(key, default, value):
 
 
 def _merge(base, override, prefix=""):
-    out = copy.deepcopy(base)
+    out = dict(base)  # each entry it changes is replaced, none is mutated
     for k, v in override.items():
         key = prefix + k
         if k not in out:
@@ -130,41 +124,17 @@ def load_config(args):
     return config
 
 
-def _check_unbacked(config):
-    """Range checks of the keys no config class holds."""
-    counts = {f"datagen.{key}": config["datagen"][key]
-              for key in ("n_param_sets", "n_episodes", "horizon")}
-    counts["surrogate.hidden_width"] = config["surrogate"]["hidden_width"]
-    for key, value in counts.items():
-        if value < 1:
-            raise UsageError(f"{key} must be >= 1, got {value}")
-    if config["run_seed"] < 0:
-        raise UsageError(f"the run seed must be >= 0, got {config['run_seed']}")
-    try:
-        serialize._entry(config, "tpo", "goal", shape=(2,))
-        truth = config["datagen"]["truth"]
-        if truth is not None and min(serialize._entry(
-                config, "datagen", "truth", shape=(3,))) < 0:
-            raise ValueError(f"datagen.truth (f, p, d) must be >= 0, "
-                             f"got {truth!r}")
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    if not 0 <= config["holdout_fraction"] < 1:
-        raise UsageError(f"holdout_fraction must be in [0, 1), "
-                         f"got {config['holdout_fraction']!r}")
-    try:
-        tpo.preference_beta(config["tpo"]["exploration_std"])
-    except ValueError as exc:
-        raise UsageError(f"tpo.{exc}")
-
-
 def build_stages(config):
-    """Build every stage's config object, so that a value one of them
-    rejects is a usage error before any work starts.
+    """Check the run keys and build every stage's config object, so that a
+    value one of them rejects is a usage error before any work starts.
 
     Returns a dict keyed like SECTION_CLASSES, plus "seeds" and "bounds".
     """
-    _check_unbacked(config)
+    if config["run_seed"] < 0:
+        raise UsageError(f"the run seed must be >= 0, got {config['run_seed']}")
+    if not 0 <= config["holdout_fraction"] < 1:
+        raise UsageError(f"holdout_fraction must be in [0, 1), "
+                         f"got {config['holdout_fraction']!r}")
     seeds = _seeds(config)
     name = "bounds"
     try:
@@ -221,13 +191,13 @@ def _write_manifest(config, artifacts):
     serialize.dump_json(doc, Path(config["output_dir"]) / "manifest.json")
 
 
-def _truth_params(config, seeds, bounds):
-    t = config["datagen"]["truth"]
-    if t is not None:
-        return PhysParams(float(t[0]), float(t[1]), float(t[2]))
-    rng = np.random.default_rng(seeds["truth"])
-    # keep the hidden truth off the bound edges so relative errors behave
-    return PhysParams.from_array(bounds.from_unit(0.15 + 0.7 * rng.random(3)))
+def _truth_params(stages):
+    truth = stages["datagen"].truth
+    if truth is None:
+        # keep a drawn truth off the bound edges so relative errors behave
+        rng = np.random.default_rng(stages["seeds"]["truth"])
+        truth = stages["bounds"].from_unit(0.15 + 0.7 * rng.random(3))
+    return PhysParams.from_array(truth)
 
 
 def _read_input(path, what, *readers):
@@ -273,18 +243,18 @@ def _load_checkpoint(path, stages):
     return model
 
 
-def _param_sets(config, stages):
+def _param_sets(stages):
     """The sampled parameter sets the surrogate's training rows are built
     over, and the candidates its refinement starts from."""
-    return datagen.sample_params(config["datagen"]["n_param_sets"],
+    return datagen.sample_params(stages["datagen"].n_param_sets,
                                  stages["bounds"], stages["seeds"]["param_sets"])
 
 
 def cmd_datagen(config, stages):
     out = _outdir(config)
-    seeds, dg = stages["seeds"], config["datagen"]
-    truth = _truth_params(config, seeds, stages["bounds"])
-    episodes = datagen.make_synthetic_real(truth, dg["n_episodes"], dg["horizon"],
+    seeds, dg = stages["seeds"], stages["datagen"]
+    truth = _truth_params(stages)
+    episodes = datagen.make_synthetic_real(truth, dg.n_episodes, dg.horizon,
                                            stages["plant"], seeds["episodes"])
     serialize.dump_json(serialize.episodes_to_json(episodes), out / "episodes.json")
     serialize.dump_json(serialize.params_to_json(truth), out / "truth.json")
@@ -315,12 +285,12 @@ def cmd_train_surrogate(config, stages, dataset_path):
             _load_episodes(out / "episodes.json", plant_cfg),
             config["holdout_fraction"])
         data = datagen.generate_transition_arrays(
-            train_eps, _param_sets(config, stages), plant_cfg)
+            train_eps, _param_sets(stages), plant_cfg)
         artifacts["dataset"] = out / "dataset.jsonl"
         serialize.write_dataset(artifacts["dataset"], data, plant_cfg.n_joints)
     model = surrogate.init(
         surrogate.default_layer_dims(plant_cfg.n_joints,
-                                     config["surrogate"]["hidden_width"]),
+                                     stages["surrogate"].hidden_width),
         stages["seeds"]["surrogate_init"],
         norm_stats=datagen.compute_norm_stats(data), bounds=stages["bounds"])
     model = surrogate.train(model, data, stages["surrogate"])
@@ -363,8 +333,6 @@ def _report(method, params, seconds, eval_eps, plant_cfg, truth):
 
 
 def cmd_identify(config, stages, episodes_path, checkpoint_path, method):
-    if method not in IDENTIFY_METHODS:
-        raise UsageError(f"invalid --method {method!r}")
     if checkpoint_path and method != "surrogate":
         raise UsageError("--checkpoint applies only to --method surrogate")
     out = _outdir(config)
@@ -385,7 +353,7 @@ def cmd_identify(config, stages, episodes_path, checkpoint_path, method):
                                                      plant_cfg),
         "surrogate": lambda: identify.refine_params(
             _load_checkpoint(checkpoint_path or out / "checkpoint.json", stages),
-            train_eps, stages["refine"], _param_sets(config, stages)),
+            train_eps, stages["refine"], _param_sets(stages)),
     }
     reports = []
     for name in ("sa", "grad") if method == "both" else (method,):
@@ -416,18 +384,17 @@ def cmd_tpo(config, stages, params_path):
     params = _read_input(params_path or out / "identified_params.json",
                          "identified parameter", serialize.load_json,
                          serialize.params_from_json)
-    t = config["tpo"]
-    plant_cfg = stages["plant"]
+    cfg, plant_cfg = stages["tpo"], stages["plant"]
     policy = tpo.init_policy(plant_cfg.n_joints, seed=stages["seeds"]["tpo"],
-                             exploration_std=t["exploration_std"])
+                             exploration_std=cfg.exploration_std)
 
     def show(rep):
         print(f"cycle {rep.cycle}: reward {rep.mean_reward_before:.4f} -> "
               f"{rep.mean_reward_after:.4f}, loss {rep.loss_first:.4f} -> "
               f"{rep.loss_last:.4f}")
 
-    policy, reports = tpo.run_tpo(policy, params, np.array(t["goal"]),
-                                  stages["tpo"], plant_cfg, on_cycle=show)
+    policy, reports = tpo.run_tpo(policy, params, np.array(cfg.goal), cfg,
+                                  plant_cfg, on_cycle=show)
     serialize.write_text(out / "tpo_report.jsonl", "".join(
         serialize.to_canonical_json(dataclasses.asdict(rep)) + "\n"
         for rep in reports))
@@ -435,12 +402,12 @@ def cmd_tpo(config, stages, params_path):
     return {"tpo_report": out / "tpo_report.jsonl", "policy": out / "policy.json"}
 
 
-def cmd_plot(config, csv_path, svg_path):
-    out = _outdir(config)
-    path = Path(csv_path)
-    lines = _read_input(path, "CSV", Path.read_text).strip().splitlines()
+def _curve_from_csv(text):
+    """The steps and values of a step,value CSV: at least one row of two
+    finite numbers."""
+    lines = text.strip().splitlines()
     if not lines or lines[0].strip() != "step,value":
-        raise UsageError("CSV must start with header 'step,value'")
+        raise ValueError("CSV must start with header 'step,value'")
     steps, values = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -448,11 +415,18 @@ def cmd_plot(config, csv_path, svg_path):
             steps.append(float(parts[0]))
             values.append(float(parts[1]))
         except (ValueError, IndexError):
-            raise UsageError(f"malformed CSV line {lineno}: {line!r}")
+            raise ValueError(f"malformed CSV line {lineno}: {line!r}")
         if not (math.isfinite(steps[-1]) and math.isfinite(values[-1])):
-            raise UsageError(f"non-finite number in CSV line {lineno}: {line!r}")
+            raise ValueError(f"non-finite number in CSV line {lineno}: {line!r}")
     if not steps:
-        raise UsageError("CSV has no data rows")
+        raise ValueError("CSV has no data rows")
+    return steps, values
+
+
+def cmd_plot(config, csv_path, svg_path):
+    out = _outdir(config)
+    path = Path(csv_path)
+    steps, values = _read_input(path, "CSV", Path.read_text, _curve_from_csv)
     svg = serialize.curve_to_svg(steps, values, title=path.name)
     target = Path(svg_path) if svg_path else out / (path.stem + ".svg")
     serialize.write_text(target, svg)
@@ -482,9 +456,8 @@ def build_parser():
     p_id.add_argument("--checkpoint",
                       help="surrogate checkpoint to refine through (default: "
                            "<out>/checkpoint.json); --method surrogate only")
-    p_id.add_argument("--method", default="both",
-                      help=" | ".join(IDENTIFY_METHODS)
-                      + " (both: sa then grad)")
+    p_id.add_argument("--method", default="both", choices=IDENTIFY_METHODS,
+                      help="both: sa then grad")
     p_tpo = sub.add_parser("tpo", help="preference fine-tuning in the identified plant")
     p_tpo.add_argument("--params", help="identified parameters JSON path")
     p_plot = sub.add_parser("plot", help="render a step,value CSV as an SVG")

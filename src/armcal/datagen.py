@@ -19,6 +19,27 @@ STD_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
+class DatagenConfig:
+    """n_episodes observed episodes of horizon steps, rolled from the hidden
+    truth (f, p, d), which None draws from the run seed; and the
+    n_param_sets sampled triples the surrogate's rows are built over."""
+
+    n_param_sets: int = 50
+    n_episodes: int = 20
+    horizon: int = 50
+    truth: tuple = None
+
+    def __post_init__(self):
+        for name in ("n_param_sets", "n_episodes", "horizon"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.truth is not None:
+            if len(self.truth) != 3:
+                raise ValueError(f"truth must be [f, p, d], got {list(self.truth)}")
+            PhysParams(*self.truth)
+
+
+@dataclass(frozen=True)
 class NormStats:
     """Per-dimension mean/std of the flattened record layout
     (f, p, d | q, qd | action | next q, next qd), population convention,

@@ -11,7 +11,6 @@ fixed number of substeps per action. The three scalars (f, p, d) are shared
 across joints and are the quantities the identification pipeline recovers.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,8 +111,7 @@ class PlantConfig:
         if len(self.link_lengths) != self.n_joints or len(self.inertias) != self.n_joints:
             raise ValueError("link_lengths/inertias length must match n_joints")
         values = (*self.link_lengths, *self.inertias)
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                   and 0 < v < np.inf for v in values):
+        if not all(0 < v < np.inf for v in values):
             raise ValueError("link lengths and inertias must be finite and "
                              f"positive numbers, got {values!r}")
         if self.obs_noise_std < 0:

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 from pathlib import Path
 
@@ -31,6 +32,7 @@ REPORT_HEADER = "method,traj_err,rot_err,trans_err,time_s"
 # one array. The bound keeps the text and the Python floats in memory small
 # whatever the row count.
 DATASET_BLOCK_ROWS = 1024
+_DATASET_VALUES = operator.itemgetter(*DATASET_KEYS)
 
 
 def _reject_constant(name):
@@ -180,7 +182,7 @@ def read_dataset(path):
     bounds the memory held in Python floats. A line whose values are not
     all finite floats in the first line's shapes is read again through
     _entry, which names the key at fault."""
-    blocks, rows, width = [], [], None
+    blocks, rows, lengths = [], [], None
     shapes = {key: () if key in "fpd" else (None,) for key in DATASET_KEYS}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -190,21 +192,20 @@ def read_dataset(path):
             try:
                 obj = _DATASET_DECODER.decode(line)
                 try:
-                    row = [obj["f"], obj["p"], obj["d"], *obj["state_q"],
-                           *obj["state_qd"], *obj["action"], *obj["next_q"],
-                           *obj["next_qd"]]
+                    f, p, d, q, qd, a, nq, nqd = _DATASET_VALUES(obj)
+                    row = [f, p, d, *q, *qd, *a, *nq, *nqd]
+                    fits = (len(q), len(qd), len(a), len(nq), len(nqd)) == lengths
                 except (KeyError, TypeError):
-                    row = None
-                if (row is None or len(row) != width
-                        or set(map(type, row)) != {float}
+                    fits = False
+                if (not fits or set(map(type, row)) != {float}
                         or not math.isfinite(sum(row))):
                     row = [v for key in DATASET_KEYS for v in np.ravel(
                         _entry(obj, key, shape=shapes[key])).tolist()]
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed dataset line {lineno}: {exc}")
-            if width is None:
-                width = len(row)
+            if lengths is None:
                 shapes = {key: np.shape(obj[key]) for key in DATASET_KEYS}
+                lengths = tuple(shapes[key][0] for key in DATASET_KEYS[3:])
             rows.append(row)
             if len(rows) == DATASET_BLOCK_ROWS:
                 blocks.append(np.array(rows, dtype=float))

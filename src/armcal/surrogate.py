@@ -30,6 +30,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LR_DECAY = 0.995
+HIDDEN_WIDTH = 128  # of both hidden layers, unless the caller sets it
 
 
 class TrainingDiverged(RuntimeError):
@@ -43,11 +44,14 @@ class TrainConfig:
     learning_rate: float = 0.001
     batch_size: int = 256
     max_epochs: int = 800
+    hidden_width: int = HIDDEN_WIDTH  # read by the CLI, which builds the model
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("invalid training configuration")
+        if (self.learning_rate < 0 or self.batch_size < 1 or self.max_epochs < 1
+                or self.hidden_width < 1):
+            raise ValueError("learning_rate must be >= 0, and batch_size, "
+                             "max_epochs and hidden_width >= 1")
 
 
 @dataclass
@@ -81,9 +85,6 @@ def init(layer_dims, seed, norm_stats=None, bounds=None) -> MlpCheckpoint:
         biases.append(np.zeros(fan_out))
     return MlpCheckpoint(layer_dims, weights, biases, "tanh",
                          norm_stats, bounds or ParamBounds(), int(seed))
-
-
-HIDDEN_WIDTH = 128  # of both hidden layers, unless the caller sets it
 
 
 def default_layer_dims(n_joints, hidden=HIDDEN_WIDTH):

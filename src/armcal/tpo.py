@@ -78,6 +78,10 @@ class TpoConfig:
     rollouts_per_cycle: int = 100
     learning_rate: float = 3e-4
     rollout_horizon: int = 25
+    # the exploration noise of the policy a run starts from (beta is
+    # 1/exploration_std^2), and the (x, y) target its end effector reaches for
+    exploration_std: float = PolicyNet.exploration_std
+    goal: tuple = (1.2, 0.8)
     seed: int = 0
 
     def __post_init__(self):
@@ -91,6 +95,7 @@ class TpoConfig:
             raise ValueError("learning_rate must be positive")
         if 2 * self.m > self.rollouts_per_cycle:
             raise ValueError("need at least 2m rollouts per cycle")
+        preference_beta(self.exploration_std)
 
 
 def init_policy(n_joints, hidden=(32, 32), seed=0,

@@ -5,6 +5,7 @@ fast; full-scale behavior is covered by the acceptance suite.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -145,7 +146,7 @@ class TestExitCodes:
         "plant.dt=0",  # PlantConfig
         "tpo.m=0",  # TpoConfig: no preference pairs
         "tpo.rollout_horizon=0",  # TpoConfig
-        # keys no config class holds, checked at load
+        # DatagenConfig, and TpoConfig's goal and exploration noise
         "datagen.n_episodes=-3",
         "datagen.horizon=0",
         "datagen.n_param_sets=0",
@@ -186,6 +187,8 @@ class TestExitCodes:
         # a bool is no length or inertia, though True compares as 1
         "plant.link_lengths=[true,true]",
         "plant.inertias=[true,1.0]",
+        'plant.inertias=[1,"2"]',  # a string is no number
+        "datagen.truth=[true,300,20]",
         "surrogate.hidden_width=0",  # no layer to build
         "run_seed=-1",  # no seed sequence to derive
         "bounds.f=[-5,10]",  # ParamBounds: its points must be valid params
@@ -462,7 +465,8 @@ class TestPipeline:
         assert run(tmp_path, "identify", "--method", "grad") == 0
         capsys.readouterr()
         assert run(tmp_path, "--set", "tpo.exploration_std=0", "tpo") == 2
-        assert "tpo.exploration_std must be positive" in capsys.readouterr().err
+        assert ("invalid tpo config: exploration_std must be positive"
+                in capsys.readouterr().err)
         assert not (tmp_path / "tpo_report.jsonl").exists()
 
     @pytest.mark.parametrize("sigma", ["1e-200", "1e-160"])
@@ -641,13 +645,23 @@ class TestConfigPlumbing:
         assert main(["--config", str(cfg), "datagen"]) == 2
 
     def test_default_config_unmutated(self, tmp_path):
-        # overrides of both a literal section (datagen) and a class-backed
-        # one (tpo) must leave the module-level defaults untouched
+        # overrides of a run key and of a list key must leave the
+        # module-level defaults untouched
         before = json.dumps(default_config(), sort_keys=True)
-        unbacked = json.dumps(cli._UNBACKED, sort_keys=True)
-        assert run(tmp_path, "--set", "tpo.goal=[0.5,0.5]", "datagen") == 0
-        assert json.dumps(cli._UNBACKED, sort_keys=True) == unbacked
+        run_keys = json.dumps(cli._RUN_KEYS, sort_keys=True)
+        assert run(tmp_path, "--set", "tpo.goal=[0.5,0.5]",
+                   "--set", "holdout_fraction=0.5", "datagen") == 0
+        assert json.dumps(cli._RUN_KEYS, sort_keys=True) == run_keys
         assert json.dumps(default_config(), sort_keys=True) == before
+
+    def test_every_section_is_a_stage_class(self):
+        # bounds and the run keys aside, each section holds exactly its
+        # class's fields, less those the CLI sets: no key bypasses a class
+        config = default_config()
+        assert set(config) == {"bounds", *cli._RUN_KEYS, *cli.SECTION_CLASSES}
+        for name, cls in cli.SECTION_CLASSES.items():
+            fields = {f.name for f in dataclasses.fields(cls)}
+            assert set(config[name]) == fields - {"seed", "bounds"}
 
     def test_default_config_hash_pinned(self):
         # the CLI keys and their defaults, read off the config classes; the
@@ -673,10 +687,11 @@ class TestPlot:
         csv.write_text("x,y\n0,1\n")
         assert run(tmp_path, "plot", str(csv)) == 2
 
-    def test_malformed_row_rejected(self, tmp_path):
+    def test_malformed_row_rejected(self, tmp_path, capsys):
         csv = tmp_path / "c.csv"
         csv.write_text("step,value\n0,1.0\nbroken\n")
         assert run(tmp_path, "plot", str(csv)) == 2
+        assert f"{csv}: malformed CSV line 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("row", ["1,nan", "1,inf", "1,-inf", "nan,1"])
     def test_non_finite_number_rejected(self, tmp_path, row):
@@ -815,4 +830,19 @@ class TestInputFiles:
         code, err, written = self.run_on(fast_inputs, name, text)
         assert code == 2, err
         assert name in err and key in err, err
+        assert written == []
+
+    def test_dataset_line_whose_vectors_split_otherwise_is_rejected(
+            self, fast_inputs):
+        # line 2 moves a value of state_qd into state_q: the line's width is
+        # right, two of its vectors are not
+        lines = (fast_inputs / "dataset.jsonl").read_text().splitlines()
+        row = json.loads(lines[1])
+        row["state_q"].append(row["state_qd"].pop())
+        lines[1] = json.dumps(row)
+        code, err, written = self.run_on(fast_inputs, "dataset.jsonl",
+                                         "\n".join(lines) + "\n")
+        assert code == 2, err
+        assert ("dataset.jsonl: malformed dataset line 2: state_q has shape "
+                "(3,), expected (2,)") in err, err
         assert written == []

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from armcal.datagen import (EXCITATION_HOLD_STEPS, STD_FLOOR, Episode,
-                            EpisodeSet, NormStats, compute_norm_stats,
+from armcal.datagen import (EXCITATION_HOLD_STEPS, STD_FLOOR, DatagenConfig,
+                            Episode, EpisodeSet, NormStats, compute_norm_stats,
                             episode_arrays, excitation_actions,
                             generate_transition_arrays, make_synthetic_real,
                             sample_params, teacher_forced_next)
@@ -14,6 +14,16 @@ from armcal.plant import (ParamBounds, PhysParams, PlantConfig, rollout_batch,
 
 BOUNDS = ParamBounds()
 CFG = PlantConfig()
+
+
+class TestDatagenConfig:
+    @pytest.mark.parametrize("bad", [
+        {"n_episodes": 0}, {"horizon": 0}, {"n_param_sets": -1},
+        {"truth": (1.0, -2.0, 3.0)}, {"truth": (1.0, float("nan"), 3.0)},
+        {"truth": (1.0, 2.0)}, {"truth": (1.0, 2.0, 3.0, 4.0)}])
+    def test_rejects(self, bad):
+        with pytest.raises(ValueError):
+            DatagenConfig(**bad)
 
 
 class TestSampleParams:

@@ -537,6 +537,8 @@ class TestTraining:
             TrainConfig(learning_rate=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(max_epochs=0)  # no loss to report
+        with pytest.raises(ValueError):
+            TrainConfig(hidden_width=0)  # no layer to build
 
 
 class TestAdamStep:

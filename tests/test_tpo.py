@@ -308,7 +308,8 @@ class TestCycles:
         with pytest.raises(ValueError):
             TpoConfig(m=10, rollouts_per_cycle=19)
         for bad in ({"epochs_per_cycle": 0}, {"learning_rate": 0.0},
-                    {"learning_rate": -1.0}, {"learning_rate": float("nan")}):
+                    {"learning_rate": -1.0}, {"learning_rate": float("nan")},
+                    {"exploration_std": 0.0}):  # beta = 1/sigma^2 is infinite
             with pytest.raises(ValueError):
                 TpoConfig(**bad)
 
