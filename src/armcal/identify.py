@@ -134,15 +134,15 @@ def make_replay_energy(episodes, plant_cfg):
 
 # --- refinement through the surrogate ----------------------------------------
 
-def refine_params(model, episodes, cfg: RefineConfig, candidates=None):
+def refine_params(model, episodes, cfg: RefineConfig, candidates):
     """_levenberg_marquardt on surrogate.make_param_residuals over the real
     transitions, weights frozen, with cfg.max_steps as its iteration cap and
     cfg.convergence_tol as its step tolerance; cfg.bounds must be the bounds
     the model was trained in.
 
-    Starts from the candidate parameter set with the lowest surrogate loss,
-    or from the bounds midpoint when no candidates are given. Returns
-    (identified PhysParams, LM's cost curve).
+    Starts from the candidate parameter set (PhysParams, at least one) with
+    the lowest surrogate loss. Returns (identified PhysParams, LM's cost
+    curve).
     """
     if not episodes.episodes:
         raise ValueError("no episodes to refine against")
@@ -150,12 +150,8 @@ def refine_params(model, episodes, cfg: RefineConfig, candidates=None):
     residuals = surrogate.make_param_residuals(
         model, np.hstack([q, qd, acts]), np.hstack([nq, nqd]))
     bounds = cfg.bounds
-    if candidates:
-        losses = [r @ r for r in (residuals(c.as_array())[0]
-                                  for c in candidates)]
-        start = candidates[int(np.argmin(losses))].as_array()
-    else:
-        start = (bounds.lows() + bounds.highs()) / 2.0
+    losses = [r @ r for r in (residuals(c.as_array())[0] for c in candidates)]
+    start = candidates[int(np.argmin(losses))].as_array()
     u, curve = _levenberg_marquardt(
         lambda u: residuals(bounds.from_unit(u)), bounds.to_unit(start),
         cfg.max_steps, cfg.convergence_tol)

@@ -179,11 +179,11 @@ def write_dataset(path, rows, n_joints):
 def read_dataset(path):
     """Load a JSON-lines dataset back into the flat (M, 3 + 5N) layout. Rows
     are collected as lists and converted DATASET_BLOCK_ROWS at a time, which
-    bounds the memory held in Python floats. A line whose values are not
-    all finite floats in the first line's shapes is read again through
-    _entry, which names the key at fault."""
+    bounds the memory held in Python floats. The first line's state_q sets
+    the length of every vector of every line; a line whose values are not
+    all finite floats in those shapes is read again through _entry, which
+    names the key at fault."""
     blocks, rows, lengths = [], [], None
-    shapes = {key: () if key in "fpd" else (None,) for key in DATASET_KEYS}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -191,6 +191,11 @@ def read_dataset(path):
                 continue
             try:
                 obj = _DATASET_DECODER.decode(line)
+                if lengths is None:
+                    n = len(_entry(obj, "state_q", shape=(None,)))
+                    lengths = (n,) * 5
+                    shapes = {key: () if key in "fpd" else (n,)
+                              for key in DATASET_KEYS}
                 try:
                     f, p, d, q, qd, a, nq, nqd = _DATASET_VALUES(obj)
                     row = [f, p, d, *q, *qd, *a, *nq, *nqd]
@@ -203,9 +208,6 @@ def read_dataset(path):
                         _entry(obj, key, shape=shapes[key])).tolist()]
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed dataset line {lineno}: {exc}")
-            if lengths is None:
-                shapes = {key: np.shape(obj[key]) for key in DATASET_KEYS}
-                lengths = tuple(shapes[key][0] for key in DATASET_KEYS[3:])
             rows.append(row)
             if len(rows) == DATASET_BLOCK_ROWS:
                 blocks.append(np.array(rows, dtype=float))

@@ -10,11 +10,12 @@ ParamBounds.to_unit; state and action dimensions are z-scored with the dataset
 normalization statistics. The output is produced in z-scored next-state
 space, where every loss is measured. All gradients (weights and inputs) are
 exact backpropagation, checked against central finite differences in tests.
-Every loop that makes many passes runs them into one reused workspace:
-training writes each minibatch's activations, deltas and weight gradients
-into the same arrays, and refinement's residuals (make_param_residuals)
-normalize their rows once and neither hold nor compute the weight gradients
-they do not use, nor a Jacobian no one asks for.
+Every forward and backward pass writes into a Workspace, and what it returns
+are views into that workspace, valid until its next use. A loop that makes
+many passes reuses one: training writes each minibatch's activations, deltas
+and weight gradients into the same arrays, and refinement's residuals
+(make_param_residuals) normalize their rows once and neither hold nor compute
+the weight gradients they do not use, nor a Jacobian no one asks for.
 """
 
 from dataclasses import dataclass, field
@@ -122,9 +123,11 @@ def _targets(model, state_sa, next_raw):
 class Workspace:
     """Arrays the passes write into, so that a caller making many passes
     over one batch allocates nothing; workspace(layer_dims, rows) makes one
-    for batches of up to `rows` rows. With weight_grads=False it holds no
-    weight gradients (dWs and dbs are None), for callers whose backward
-    passes take the same flag."""
+    for batches of up to `rows` rows. Every pass runs in one, and what it
+    returns are views into it, valid until its next use. With
+    grads="inputs" it holds no weight gradients (dWs and dbs are None), so a
+    backward pass in it computes dX alone; with grads=None only the
+    activations, for forward passes."""
     acts: list  # output of layer i, (rows, layer_dims[i + 1])
     deltas: list  # d(loss)/d(input of layer i), (rows, layer_dims[i])
     slope: np.ndarray  # flat scratch for the tanh slope 1 - a^2
@@ -132,72 +135,63 @@ class Workspace:
     dbs: list  # bias gradient of layer i, (layer_dims[i + 1],)
 
 
-def workspace(layer_dims, rows, weight_grads=True) -> Workspace:
+def workspace(layer_dims, rows, grads="weights") -> Workspace:
     dims = list(zip(layer_dims[:-1], layer_dims[1:]))
-    return Workspace([np.empty((rows, d)) for d in layer_dims[1:]],
-                     [np.empty((rows, d)) for d in layer_dims[:-1]],
-                     np.empty(rows * max(layer_dims[1:-1], default=0)),
-                     [np.empty((o, i)) for i, o in dims] if weight_grads else None,
-                     [np.empty(o) for _, o in dims] if weight_grads else None)
+    backward = grads in ("weights", "inputs")
+    weights = grads == "weights"
+    return Workspace(
+        [np.empty((rows, d)) for d in layer_dims[1:]],
+        [np.empty((rows, d)) for d in layer_dims[:-1]] if backward else None,
+        np.empty(rows * max(layer_dims[1:-1], default=0)) if backward else None,
+        [np.empty((o, i)) for i, o in dims] if weights else None,
+        [np.empty(o) for _, o in dims] if weights else None)
 
 
-def forward_normalized(model, X, keep_cache=False, ws=None):
-    """Network output for normalized input rows; with keep_cache, also the
-    activations (input first) that backward_from_delta needs. With a
-    workspace, the output and the layer activations are views into it,
-    valid until its next use."""
+def forward_normalized(model, X, ws):
+    """Network output for normalized input rows, and the activations (input
+    first) that backward_from_delta needs; returns (out, acts)."""
     acts = [np.atleast_2d(X)]
     B = len(acts[0])
     n_layers = len(model.weights)
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        h = np.matmul(acts[i], W.T, out=None if ws is None else ws.acts[i][:B])
+        h = np.matmul(acts[i], W.T, out=ws.acts[i][:B])
         h += b
         if i < n_layers - 1:
             np.tanh(h, out=h)
         acts.append(h)
-    if keep_cache:
-        return h, acts
-    return h
+    return h, acts
 
 
-def backward_from_delta(model, acts, delta, weight_grads=True, ws=None):
+def backward_from_delta(model, acts, delta, ws):
     """Backward pass given d(loss)/d(output) rows; returns (dWs, dbs, dX).
 
-    With weight_grads=False only dX is computed, and dWs and dbs are None.
-    With a workspace, dX and the weight gradients are views into it, valid
-    until its next use.
+    The weight gradients are computed exactly when ws holds them; otherwise
+    dWs and dbs are None.
     """
-    n_layers = len(model.weights)
-    dWs = [None] * n_layers if weight_grads else None
-    dbs = [None] * n_layers if weight_grads else None
     B = len(delta)
-    for i in range(n_layers - 1, -1, -1):
-        if weight_grads:
-            dWs[i] = np.matmul(delta.T, acts[i],
-                               out=None if ws is None else ws.dWs[i])
-            dbs[i] = np.sum(delta, axis=0,
-                            out=None if ws is None else ws.dbs[i])
-        delta = np.matmul(delta, model.weights[i],
-                          out=None if ws is None else ws.deltas[i][:B])
+    for i in range(len(model.weights) - 1, -1, -1):
+        if ws.dWs is not None:
+            np.matmul(delta.T, acts[i], out=ws.dWs[i])
+            np.sum(delta, axis=0, out=ws.dbs[i])
+        delta = np.matmul(delta, model.weights[i], out=ws.deltas[i][:B])
         if i > 0:  # chain through the tanh of the previous hidden layer
             a = acts[i]
-            slope = np.multiply(a, a, out=None if ws is None
-                                else ws.slope[:a.size].reshape(a.shape))
+            slope = np.multiply(a, a, out=ws.slope[:a.size].reshape(a.shape))
             np.subtract(1.0, slope, out=slope)
             delta *= slope
-    return dWs, dbs, delta
+    return ws.dWs, ws.dbs, delta
 
 
 def backprop(model, X, Y, ws=None):
-    """Mean-over-rows squared-error loss; returns (loss, dWs, dbs, dX).
-
-    With a workspace, the gradients are views into it, valid until its next
-    use."""
-    out, acts = forward_normalized(model, X, keep_cache=True, ws=ws)
+    """Mean-over-rows squared-error loss; returns (loss, dWs, dbs, dX), in
+    ws or, if none is given, in a workspace of its own."""
+    if ws is None:
+        ws = workspace(model.layer_dims, len(np.atleast_2d(X)))
+    out, acts = forward_normalized(model, X, ws)
     B = out.shape[0]
     diff = out - np.atleast_2d(Y)
     loss = float(np.mean(np.sum(diff * diff, axis=1)))
-    dWs, dbs, dX = backward_from_delta(model, acts, 2.0 * diff / B, ws=ws)
+    dWs, dbs, dX = backward_from_delta(model, acts, 2.0 * diff / B, ws)
     return loss, dWs, dbs, dX
 
 
@@ -281,7 +275,7 @@ def make_param_residuals(model, state_sa, next_raw):
     B, n_out = len(state_sa), model.layer_dims[-1]
     X = build_input(model, np.zeros((B, 3)), state_sa)  # a call sets X[:, :3]
     Y = _targets(model, state_sa, next_raw)
-    ws = workspace(model.layer_dims, B, weight_grads=False)
+    ws = workspace(model.layer_dims, B, grads="inputs")
     unit = np.zeros((B, n_out))  # d(output column k)/d(output), column k set
     collapsed = model.bounds.highs() == model.bounds.lows()
     calls = 0  # residuals calls so far; the workspace holds the last one's
@@ -291,7 +285,7 @@ def make_param_residuals(model, state_sa, next_raw):
         calls += 1
         call = calls
         X[:, :3] = model.bounds.to_unit(np.asarray(fpd_row, dtype=float))
-        out, acts = forward_normalized(model, X, keep_cache=True, ws=ws)
+        out, acts = forward_normalized(model, X, ws)
 
         def jacobian():
             if calls != call:
@@ -300,8 +294,7 @@ def make_param_residuals(model, state_sa, next_raw):
             J = np.empty((B, n_out, 3))
             for k in range(n_out):
                 unit[:, k] = 1.0
-                J[:, k] = backward_from_delta(model, acts, unit,
-                                              weight_grads=False, ws=ws)[2][:, :3]
+                J[:, k] = backward_from_delta(model, acts, unit, ws)[2][:, :3]
                 unit[:, k] = 0.0
             J[:, :, collapsed] = 0.0
             return J.reshape(-1, 3)

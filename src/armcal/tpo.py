@@ -22,11 +22,13 @@ one policy forward over all B states and one batch-B plant step per time
 step, each drawing its exploration noise from its own generator.
 `_pair_order` ranks the rewards into trajectory numbers, and the observation
 rows of those 2m trajectories are stacked once per cycle with their reference
-log-probabilities, so each epoch is one forward and one backward pass. Both
-write into one `surrogate.Workspace` per cycle, which holds the activations,
-the deltas and the weight gradients Adam reads, so no epoch allocates them
-afresh. A GEMM over many rows can round differently from single-row products
-in the last bit; reruns with the same seed are byte-identical.
+log-probabilities, so each epoch is one forward and one backward pass. Every
+pass writes into a `surrogate.Workspace` and returns views into it, valid
+until its next use: the stacked rows hold the one every pass over them runs
+in, and each rollout batch has one of its own, so no epoch or time step
+allocates activations, deltas or gradients afresh. A GEMM over many rows can
+round differently from single-row products in the last bit; reruns with the
+same seed are byte-identical.
 `RankedTrajectory` and `PreferencePair` are the object API for single
 trajectories; `traj_log_prob` and `tpo_delta` keep the per-trajectory
 definitions the batched loss is tested against.
@@ -91,6 +93,8 @@ class TpoConfig:
             raise ValueError("rollout_horizon must be >= 1")
         if self.epochs_per_cycle < 1:
             raise ValueError("epochs_per_cycle must be >= 1")
+        if self.cycles < 1:
+            raise ValueError("cycles must be >= 1")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if 2 * self.m > self.rollouts_per_cycle:
@@ -111,7 +115,9 @@ def _obs_rows(traj_states, goal, horizon):
 
 def policy_means(policy: PolicyNet, obs_rows):
     """Deterministic mean actions for a batch of observation rows."""
-    return surrogate.forward_normalized(policy, obs_rows)
+    obs_rows = np.atleast_2d(obs_rows)
+    ws = surrogate.workspace(policy.layer_dims, len(obs_rows), grads=None)
+    return surrogate.forward_normalized(policy, obs_rows, ws)[0]
 
 
 def _rollout_arrays(policy: PolicyNet, params: PhysParams, goal, cfg: PlantConfig,
@@ -131,8 +137,10 @@ def _rollout_arrays(policy: PolicyNet, params: PhysParams, goal, cfg: PlantConfi
     qs[0], qds[0] = q, qd
     fpd = np.broadcast_to(params.as_array(), (B, 3))
     goal_rows = np.broadcast_to(goal, (B, len(goal)))
+    ws = surrogate.workspace(policy.layer_dims, B, grads=None)
     for t in range(horizon):
-        target = policy_means(policy, np.hstack([q, qd, goal_rows])) + noise[t]
+        obs = np.hstack([q, qd, goal_rows])
+        target = surrogate.forward_normalized(policy, obs, ws)[0] + noise[t]
         if not np.all(np.isfinite(target)):
             raise ValueError("non-finite commanded target")
         executed[t] = target
@@ -196,19 +204,19 @@ def _sigmoid(x):
 @dataclass(frozen=True)
 class _PairRows:
     """The rows of every trajectory in a list of P preference pairs, stacked
-    once. Pair j's chosen trajectory is number 2j, its rejected one 2j + 1."""
+    once, and the workspace every pass over them runs in. Pair j's chosen
+    trajectory is number 2j, its rejected one 2j + 1."""
     obs: np.ndarray  # (R, 2N + 2) observation rows
     executed: np.ndarray  # (R, N) executed actions
     traj: np.ndarray  # (R,) trajectory number of each row
     ref_log_prob: np.ndarray  # (2P,) under the frozen reference
+    ws: surrogate.Workspace  # for R rows, with weight gradients
 
 
-def _log_probs(policy, obs, executed, traj, n_traj, ws=None):
+def _log_probs(policy, obs, executed, traj, n_traj, ws):
     """Per-trajectory log-probabilities over stacked rows; also the rows'
-    mean-minus-executed residuals and the forward pass's activations (views
-    into ws, if given)."""
-    means, acts = surrogate.forward_normalized(policy, obs, keep_cache=True,
-                                               ws=ws)
+    mean-minus-executed residuals and the forward pass's activations."""
+    means, acts = surrogate.forward_normalized(policy, obs, ws)
     if means.shape != executed.shape:
         raise ValueError("action dimension mismatch")
     diff = means - executed
@@ -217,11 +225,10 @@ def _log_probs(policy, obs, executed, traj, n_traj, ws=None):
     return log_prob, diff, acts
 
 
-def _pair_rows(reference: PolicyNet, obs_blocks, executed_blocks,
-               ws=None) -> _PairRows:
+def _pair_rows(reference: PolicyNet, obs_blocks, executed_blocks) -> _PairRows:
     """Stack per-trajectory (T_i, 2N + 2) observation and (T_i, N) executed
-    action blocks, given in the order chosen_0, rejected_0, chosen_1, ...;
-    the reference pass runs in ws, if given."""
+    action blocks, given in the order chosen_0, rejected_0, chosen_1, ...,
+    and build their workspace; the reference pass is the first in it."""
     if not obs_blocks:
         raise ValueError("no preference pairs")
     lengths = [len(a) for a in executed_blocks]
@@ -230,19 +237,18 @@ def _pair_rows(reference: PolicyNet, obs_blocks, executed_blocks,
     obs = np.vstack(obs_blocks)
     executed = np.vstack(executed_blocks)
     traj = np.repeat(np.arange(len(lengths)), lengths)
+    ws = surrogate.workspace(reference.layer_dims, len(obs))
     ref_log_prob, _, _ = _log_probs(reference, obs, executed, traj,
                                     len(lengths), ws)
-    return _PairRows(obs, executed, traj, ref_log_prob)
+    return _PairRows(obs, executed, traj, ref_log_prob, ws)
 
 
-def _pair_loss(policy: PolicyNet, rows: _PairRows, beta, ws=None):
-    """The preference loss and its weight gradients over cached pair rows.
-
-    With a workspace, the passes run in it and the gradients are views into
-    it, valid until its next use."""
+def _pair_loss(policy: PolicyNet, rows: _PairRows, beta):
+    """The preference loss and its weight gradients over cached pair rows;
+    the gradients are views into rows.ws."""
     n_traj = len(rows.ref_log_prob)
     log_prob, diff, acts = _log_probs(policy, rows.obs, rows.executed,
-                                      rows.traj, n_traj, ws)
+                                      rows.traj, n_traj, rows.ws)
     adv = log_prob - rows.ref_log_prob
     z = beta * (adv[0::2] - adv[1::2])
     # -log sigmoid(z), numerically stable
@@ -254,16 +260,17 @@ def _pair_loss(policy: PolicyNet, rows: _PairRows, beta, ws=None):
     signed = np.stack([coeff, -coeff], axis=1).ravel()[rows.traj]
     # d logprob / d mean = -(mean - executed)
     dWs, dbs, _ = surrogate.backward_from_delta(policy, acts,
-                                                -(signed[:, None] * diff), ws=ws)
+                                                -(signed[:, None] * diff), rows.ws)
     return loss, dWs, dbs
 
 
 def tpo_loss(policy: PolicyNet, reference: PolicyNet, pairs, beta):
     """Mean -log sigmoid(beta * delta) over pairs, with the gradient with
-    respect to the policy weights (reference frozen).
-
-    Returns (loss, dWs, dbs).
-    """
+    respect to the policy weights (reference frozen); returns (loss, dWs,
+    dbs). The passes of both policies run in one workspace, so they must
+    share their layer_dims."""
+    if policy.layer_dims != reference.layer_dims:
+        raise ValueError("policy and reference layer_dims differ")
     trajs = [rt for pr in pairs for rt in (pr.chosen, pr.rejected)]
     rows = _pair_rows(reference,
                       [_obs_rows(rt.trajectory.states, rt.goal,
@@ -333,11 +340,9 @@ def tpo_cycle(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
     obs = np.concatenate([qs[:-1], qds[:-1], np.broadcast_to(
         goal, (*executed.shape[:2], len(goal)))], axis=2)  # (T, B, 2N + 2)
     idx = _pair_order(rewards, cfg.m)
-    # every pass over the pair rows, the reference's included, runs in ws
-    ws = surrogate.workspace(policy.layer_dims, len(idx) * cfg.rollout_horizon)
     # the policy before its first update is the frozen reference
     rows = _pair_rows(policy, [obs[:, i] for i in idx],
-                      [executed[:, i] for i in idx], ws)
+                      [executed[:, i] for i in idx])
     del qs, qds, executed, obs  # training reads the pair rows alone
 
     arrays = policy.weights + policy.biases
@@ -345,7 +350,7 @@ def tpo_cycle(policy: PolicyNet, params: PhysParams, goal, cfg: TpoConfig,
     v = [np.zeros_like(a) for a in arrays]
     losses = []
     for t in range(1, cfg.epochs_per_cycle + 1):
-        loss, dWs, dbs = _pair_loss(policy, rows, beta, ws)
+        loss, dWs, dbs = _pair_loss(policy, rows, beta)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite preference loss in cycle {cycle_index}")
         losses.append(loss)

@@ -157,6 +157,8 @@ class TestExitCodes:
         "tpo.learning_rate=-1",
         "tpo.epochs_per_cycle=0",  # TpoConfig: no loss to report
         "tpo.epochs_per_cycle=-1",
+        "tpo.cycles=0",  # TpoConfig: no cycle to report
+        "tpo.cycles=-2",
         "refine.max_steps=0",  # RefineConfig: no LM iteration
         "refine.convergence_tol=-1",
         "holdout_fraction=1.5",
@@ -845,4 +847,20 @@ class TestInputFiles:
         assert code == 2, err
         assert ("dataset.jsonl: malformed dataset line 2: state_q has shape "
                 "(3,), expected (2,)") in err, err
+        assert written == []
+
+    def test_dataset_whose_every_line_splits_alike_is_rejected(self, fast_inputs):
+        # five lines that each move a value of state_qd into state_q agree
+        # with one another, and their width passes train-surrogate's check
+        # (3 + 5N = 13 for N = 2); the first line's vectors must share a length
+        lines = (fast_inputs / "dataset.jsonl").read_text().splitlines()[:5]
+        for i, line in enumerate(lines):
+            row = json.loads(line)
+            row["state_q"].append(row["state_qd"].pop())
+            lines[i] = json.dumps(row)
+        code, err, written = self.run_on(fast_inputs, "dataset.jsonl",
+                                         "\n".join(lines) + "\n")
+        assert code == 2, err
+        assert ("dataset.jsonl: malformed dataset line 1: state_qd has shape "
+                "(1,), expected (3,)") in err, err
         assert written == []

@@ -13,6 +13,7 @@ from armcal.plant import ParamBounds, PhysParams, PlantConfig, fk, rollout_batch
 
 BOUNDS = ParamBounds()
 CFG = PlantConfig()
+MIDPOINT = PhysParams.from_array((BOUNDS.lows() + BOUNDS.highs()) / 2.0)
 
 
 def pose_error_input(T, N):
@@ -133,7 +134,8 @@ class TestRefine:
         eps = datagen.make_synthetic_real(
             PhysParams.from_array(BOUNDS.from_unit(target_u)), 2, 5, CFG, seed=0)
         stub_residuals(monkeypatch, lambda u: (u - target_u, np.eye(3)))
-        got, curve = refine_params(None, eps, RefineConfig(bounds=BOUNDS))
+        got, curve = refine_params(None, eps, RefineConfig(bounds=BOUNDS),
+                                   [MIDPOINT])
         np.testing.assert_allclose(BOUNDS.to_unit(got.as_array()), target_u,
                                    atol=1e-12)
         assert all(b < a for a, b in zip(curve, curve[1:]))
@@ -156,8 +158,9 @@ class TestRefine:
                              ids=["best-sampled", "bounds-midpoint"])
     def test_matches_lm_on_the_backprop_residuals(self, with_candidates):
         # refinement gives, bit for bit, the params and cost curve of LM on
-        # residuals built from build_input's rows, with one fresh-array
-        # backward pass per output column as their Jacobian, on request
+        # residuals built from build_input's rows, with one backward pass per
+        # output column, each in a fresh workspace, as their Jacobian, on
+        # request; the bounds midpoint is the one candidate of its own case
         eps = datagen.make_synthetic_real(PhysParams(4.0, 200.0, 10.0),
                                           3, 20, CFG, seed=2)
         cands = datagen.sample_params(6, BOUNDS, seed=4)
@@ -175,32 +178,30 @@ class TestRefine:
         def oracle(fpd):
             fpd_rows = np.broadcast_to(fpd, (len(state_sa), 3))
             X = surrogate.build_input(model, fpd_rows, state_sa)
-            out, layer_acts = surrogate.forward_normalized(model, X,
-                                                           keep_cache=True)
+            out, layer_acts = surrogate.forward_normalized(
+                model, X, surrogate.workspace(model.layer_dims, len(X)))
 
             def jacobian():
                 columns = []
                 for k in range(2 * n):
                     unit = np.zeros_like(out)
                     unit[:, k] = 1.0
-                    dX = surrogate.backward_from_delta(model, layer_acts,
-                                                       unit)[2]
+                    dX = surrogate.backward_from_delta(
+                        model, layer_acts, unit,
+                        surrogate.workspace(model.layer_dims, len(X)))[2]
                     columns.append(dX[:, :3])
                 return np.stack(columns, axis=1).reshape(-1, 3)
 
             return (out - Y).ravel(), jacobian
 
         cfg = RefineConfig(max_steps=60, convergence_tol=0.0, bounds=BOUNDS)
-        if with_candidates:
-            losses = [oracle(c.as_array())[0] for c in cands]
-            start = cands[int(np.argmin([r @ r for r in losses]))].as_array()
-        else:
-            start = (BOUNDS.lows() + BOUNDS.highs()) / 2.0
+        starts = cands if with_candidates else [MIDPOINT]
+        losses = [oracle(c.as_array())[0] for c in starts]
+        start = starts[int(np.argmin([r @ r for r in losses]))].as_array()
         u, curve = identify._levenberg_marquardt(
             lambda u: oracle(BOUNDS.from_unit(u)), BOUNDS.to_unit(start),
             cfg.max_steps, cfg.convergence_tol)
-        got, got_curve = refine_params(model, eps, cfg,
-                                       cands if with_candidates else None)
+        got, got_curve = refine_params(model, eps, cfg, starts)
         np.testing.assert_array_equal(got.as_array(),
                                       BOUNDS.clip(BOUNDS.from_unit(u)))
         assert got_curve == curve
@@ -258,7 +259,8 @@ class TestRefine:
 
     def test_rejects_empty_episodes(self):
         with pytest.raises(ValueError):
-            refine_params(None, datagen.EpisodeSet(()), RefineConfig())
+            refine_params(None, datagen.EpisodeSet(()), RefineConfig(),
+                          [MIDPOINT])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,11 @@ def random_model(rng_seed, hidden=16, stats=None):
                 norm_stats=stats or tiny_stats(), bounds=BOUNDS)
 
 
+def forward(model, X):
+    """The network output for the rows X, in a workspace of their own."""
+    return forward_normalized(model, X, workspace(model.layer_dims, len(X)))[0]
+
+
 class TestInit:
     def test_shapes_and_glorot_bounds(self):
         model = init((9, 32, 32, 4), 0, norm_stats=tiny_stats())
@@ -83,7 +88,7 @@ class TestForward:
         W0, W1, W2 = model.weights
         b0, b1, b2 = model.biases
         expected = np.tanh(np.tanh(X @ W0.T + b0) @ W1.T + b1) @ W2.T + b2
-        np.testing.assert_allclose(forward_normalized(model, X), expected,
+        np.testing.assert_allclose(forward(model, X), expected,
                                    rtol=0, atol=1e-13)
 
     def test_scalar_chain_hand_value(self):
@@ -97,7 +102,7 @@ class TestForward:
         model.weights[2][0, 0] = 1.0
         x = np.zeros((1, 9))
         x[0, 0] = 1.0
-        out = forward_normalized(model, x)
+        out = forward(model, x)
         assert out[0, 0] == pytest.approx(np.tanh(np.tanh(1.0)), abs=1e-15)
         assert out[0, 0] == pytest.approx(0.6420149920, abs=1e-9)
         assert np.all(out[0, 1:] == 0)
@@ -245,7 +250,7 @@ class TestParamResiduals:
         m_nx = model.norm_stats.mean[3 + 3 * n:]
         s_nx = model.norm_stats.std[3 + 3 * n:]
         Y = (next_raw - m_nx) / s_nx - (state_sa[:, :2 * n] - m_nx) / s_nx
-        assert np.array_equal(r, (forward_normalized(model, X) - Y).ravel())
+        assert np.array_equal(r, (forward(model, X) - Y).ravel())
 
     def test_collapsed_bound_has_a_zero_column(self):
         pinned = ParamBounds(p_min=150.0, p_max=150.0)
@@ -285,8 +290,9 @@ class TestParamResiduals:
 
 
 class TestWorkspacePasses:
-    """The passes give the same bits into a workspace as into fresh arrays,
-    and the parameter objective keeps no state between calls."""
+    """A pass gives the same bits in a used workspace sized for more rows as
+    in a fresh one sized for its batch, and the parameter objective keeps no
+    state between calls."""
 
     @pytest.mark.parametrize("dims, rows, ws_rows", [
         ((9, 16, 16, 4), 7, 7),
@@ -301,37 +307,41 @@ class TestWorkspacePasses:
             b[:] = rng.normal(size=b.shape)
         X = rng.normal(size=(rows, dims[0]))
         delta_out = rng.normal(size=(rows, dims[-1]))
-        out, acts = forward_normalized(model, X, keep_cache=True)
-        dWs, dbs, dX = backward_from_delta(model, acts, delta_out)
+        delta_before = delta_out.copy()
+        fresh = workspace(dims, rows)
+        out, acts = forward_normalized(model, X, fresh)
+        dWs, dbs, dX = backward_from_delta(model, acts, delta_out, fresh)
         ws = workspace(dims, ws_rows)
         for _ in range(2):  # a used workspace gives the same bits again
-            ws_out, ws_acts = forward_normalized(model, X, keep_cache=True, ws=ws)
+            ws_out, ws_acts = forward_normalized(model, X, ws)
             assert np.array_equal(ws_out, out)
             assert all(np.array_equal(a, b) for a, b in zip(ws_acts, acts))
-            ws_dWs, ws_dbs, ws_dX = backward_from_delta(model, ws_acts, delta_out,
-                                                        ws=ws)
+            ws_dWs, ws_dbs, ws_dX = backward_from_delta(model, ws_acts,
+                                                        delta_out, ws)
             assert np.array_equal(ws_dX, dX)
             assert all(np.array_equal(a, b) for a, b in zip(ws_dWs, dWs))
             assert all(np.array_equal(a, b) for a, b in zip(ws_dbs, dbs))
-            # the weight gradients are written into the workspace
-            assert all(np.shares_memory(g, w) for g, w in zip(ws_dWs, ws.dWs))
-            assert all(np.shares_memory(g, w) for g, w in zip(ws_dbs, ws.dbs))
-        assert np.array_equal(forward_normalized(model, X, ws=ws), out)
+            # every result is written into the workspace
+            assert np.shares_memory(ws_out, ws.acts[-1])
+            assert np.shares_memory(ws_dX, ws.deltas[0])
+            assert ws_dWs is ws.dWs and ws_dbs is ws.dbs
         # the caller's output delta is left as it was
-        assert np.array_equal(
-            backward_from_delta(model, acts, delta_out)[2], dX)
+        assert np.array_equal(delta_out, delta_before)
 
-    @pytest.mark.parametrize("use_ws", [False, True])
-    def test_input_gradient_only(self, use_ws):
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_input_gradient_only(self, partial):
+        # a workspace without weight gradients gives a full one's dX, over
+        # all its rows or the leading rows of a larger one
         rng = np.random.default_rng(4)
         model = random_model(5)
         X = rng.normal(size=(6, 9))
         delta_out = rng.normal(size=(6, 4))
-        ws = workspace(model.layer_dims, 6) if use_ws else None
-        _, acts = forward_normalized(model, X, keep_cache=True, ws=ws)
-        _, _, dX = backward_from_delta(model, acts, delta_out)
-        dWs, dbs, dX_only = backward_from_delta(model, acts, delta_out,
-                                                weight_grads=False, ws=ws)
+        full = workspace(model.layer_dims, 6)
+        _, acts = forward_normalized(model, X, full)
+        _, _, dX = backward_from_delta(model, acts, delta_out, full)
+        lean = workspace(model.layer_dims, 9 if partial else 6, grads="inputs")
+        _, acts = forward_normalized(model, X, lean)
+        dWs, dbs, dX_only = backward_from_delta(model, acts, delta_out, lean)
         assert dWs is None and dbs is None
         assert np.array_equal(dX_only, dX)
 
@@ -388,8 +398,8 @@ class TestWorkspacePasses:
         fpds = [np.array([3.0, 150.0, 12.0]), np.array([8.0, 40.0, 1.0])]
         make, built = surrogate.workspace, []
 
-        def recording_workspace(layer_dims, rows, weight_grads=True):
-            built.append(make(layer_dims, rows, weight_grads))
+        def recording_workspace(layer_dims, rows, grads="weights"):
+            built.append(make(layer_dims, rows, grads))
             return built[-1]
 
         monkeypatch.setattr(surrogate, "workspace", recording_workspace)
@@ -401,7 +411,7 @@ class TestWorkspacePasses:
         assert len(built) == 1
         assert built[0].dWs is None and built[0].dbs is None
         monkeypatch.setattr(surrogate, "workspace",
-                            lambda layer_dims, rows, weight_grads=True:
+                            lambda layer_dims, rows, grads="weights":
                             make(layer_dims, rows))
         residuals = make_param_residuals(model, state_sa, next_raw)
         for (r, J), fpd in zip(lean, fpds):
@@ -455,8 +465,10 @@ class TestTraining:
         assert model.training_meta["stop_reason"] == "max_epochs"
 
     def test_workspace_matches_fresh_array_oracle(self):
-        # 200 rows in batches of 64 end on a short batch of 8, which runs in
-        # the leading rows of the workspace
+        # training reuses one workspace, where the short batch of 8 that 200
+        # rows in batches of 64 end on runs in the leading rows; every epoch
+        # reaches the bits of an oracle that runs each minibatch in a fresh
+        # workspace of its size
         data = self.small_dataset()
         assert len(data) == 200
         stats = compute_norm_stats(data)
@@ -480,7 +492,8 @@ class TestTraining:
             losses = 0.0
             for start in range(0, len(X), cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
-                loss, dWs, dbs, _ = backprop(oracle, X[idx], Y[idx])
+                loss, dWs, dbs, _ = backprop(
+                    oracle, X[idx], Y[idx], workspace(oracle.layer_dims, len(idx)))
                 losses += loss * len(idx)
                 t += 1
                 adam_step(arrays, dWs + dbs, m, v, t,

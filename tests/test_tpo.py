@@ -3,6 +3,7 @@ closed-form loss identities, ranking semantics, and finite-difference policy
 gradients."""
 
 import copy
+import dataclasses
 import warnings
 
 import numpy as np
@@ -146,6 +147,13 @@ class TestLossIdentities:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
             tpo_loss(self.pol, self.ref, [], beta=0.1)
+
+    def test_reference_of_other_layer_dims_rejected(self):
+        a, b = make_traj(self.pol, 1), make_traj(self.pol, 2)
+        pair = PreferencePair(*sorted([a, b], key=lambda t: -t.reward))
+        narrow = init_policy(2, hidden=(6, 6), seed=5)
+        with pytest.raises(ValueError, match="layer_dims differ"):
+            tpo_loss(narrow, self.ref, [pair], beta=0.1)
 
 
 def _rows_and_policies(seed=37):
@@ -307,7 +315,7 @@ class TestCycles:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TpoConfig(m=10, rollouts_per_cycle=19)
-        for bad in ({"epochs_per_cycle": 0}, {"learning_rate": 0.0},
+        for bad in ({"epochs_per_cycle": 0}, {"cycles": 0}, {"learning_rate": 0.0},
                     {"learning_rate": -1.0}, {"learning_rate": float("nan")},
                     {"exploration_std": 0.0}):  # beta = 1/sigma^2 is infinite
             with pytest.raises(ValueError):
@@ -324,9 +332,9 @@ class TestBeta:
                                                           sigma, beta):
         seen, pair_loss = [], tpo._pair_loss
 
-        def recording(policy, rows, beta, ws=None):
+        def recording(policy, rows, beta):
             seen.append(beta)
-            return pair_loss(policy, rows, beta, ws)
+            return pair_loss(policy, rows, beta)
 
         monkeypatch.setattr(tpo, "_pair_loss", recording)
         pol = init_policy(2, hidden=(8, 8), seed=1, exploration_std=sigma)
@@ -375,9 +383,10 @@ def _loop_loss(policy, reference, pairs, beta):
         for rt, sign in ((pr.chosen, 1.0), (pr.rejected, -1.0)):
             obs = np.array([np.concatenate([s.q, s.qd, rt.goal])
                             for s in rt.trajectory.states[:-1]])
-            means, acts = surrogate.forward_normalized(policy, obs, keep_cache=True)
+            ws = surrogate.workspace(policy.layer_dims, len(obs))
+            means, acts = surrogate.forward_normalized(policy, obs, ws)
             gW, gb, _ = surrogate.backward_from_delta(
-                policy, acts, c * sign * -(means - rt.executed_actions))
+                policy, acts, c * sign * -(means - rt.executed_actions), ws)
             for acc, g in zip(dWs + dbs, gW + gb):
                 acc += g
     return loss, dWs, dbs
@@ -426,21 +435,21 @@ class TestBatchedPaths:
 
 class TestPairLossWorkspace:
     def test_workspace_epochs_bit_identical(self):
-        # five Adam epochs with the passes and gradients in one workspace
-        # reach the same bits as five with fresh arrays
+        # five Adam epochs with every pass and gradient in the pair rows' one
+        # workspace reach the same bits as five that each run in a fresh one
         pol, rows = _rows_and_policies()
         runs = []
-        for ws in (None, surrogate.workspace(pol.layer_dims, len(rows.obs))):
+        for reuse in (False, True):
             policy = copy.deepcopy(pol)
             arrays = policy.weights + policy.biases
             m = [np.zeros_like(a) for a in arrays]
             v = [np.zeros_like(a) for a in arrays]
             losses = []
             for t in range(1, 6):
-                loss, dWs, dbs = _pair_loss(policy, rows, 0.5, ws)
-                if ws is not None:
-                    assert all(np.shares_memory(g, w)
-                               for g, w in zip(dWs + dbs, ws.dWs + ws.dbs))
+                epoch_rows = rows if reuse else dataclasses.replace(
+                    rows, ws=surrogate.workspace(pol.layer_dims, len(rows.obs)))
+                loss, dWs, dbs = _pair_loss(policy, epoch_rows, 0.5)
+                assert dWs is epoch_rows.ws.dWs and dbs is epoch_rows.ws.dbs
                 losses.append(loss)
                 surrogate.adam_step(arrays, dWs + dbs, m, v, t, 1e-2)
             runs.append((losses, arrays))
@@ -530,7 +539,7 @@ class TestCallCounts:
         # reference pass or to per-step objects anywhere in the cycle changes
         # these counts or raises
         calls = {"step_batch": 0, "fk_poses": 0, "forward_rows": [],
-                 "forward_ws": [], "workspace_rows": []}
+                 "forward_ws": [], "workspaces": []}
         step_batch, forward = plant.step_batch, surrogate.forward_normalized
         fk_poses, make_workspace = plant.fk_poses, surrogate.workspace
 
@@ -542,14 +551,14 @@ class TestCallCounts:
             calls["fk_poses"] += 1
             return fk_poses(*args, **kwargs)
 
-        def counting_forward(model, X, *args, **kwargs):
+        def counting_forward(model, X, ws):
             calls["forward_rows"].append(len(X))
-            calls["forward_ws"].append(kwargs.get("ws"))
-            return forward(model, X, *args, **kwargs)
+            calls["forward_ws"].append(ws)
+            return forward(model, X, ws)
 
-        def counting_workspace(layer_dims, rows):
-            calls["workspace_rows"].append(rows)
-            return make_workspace(layer_dims, rows)
+        def counting_workspace(layer_dims, rows, grads="weights"):
+            calls["workspaces"].append(make_workspace(layer_dims, rows, grads))
+            return calls["workspaces"][-1]
 
         def no_fk(*args, **kwargs):
             raise AssertionError("per-step plant.fk called")
@@ -570,14 +579,17 @@ class TestCallCounts:
         assert calls["step_batch"] == 2 * cfg.rollout_horizon
         # both batches are ranked and scored from their arrays
         assert calls["fk_poses"] == 0
-        rows = calls["forward_rows"]
-        assert rows.count(cfg.rollouts_per_cycle) == 2 * cfg.rollout_horizon
-        pair_rows = 2 * cfg.m * cfg.rollout_horizon
-        assert rows.count(pair_rows) == cfg.epochs_per_cycle + 1
-        assert len(rows) == 2 * cfg.rollout_horizon + cfg.epochs_per_cycle + 1
-        # one workspace per cycle, and every pass over the pair rows (the
-        # reference's and each epoch's) runs in it
-        assert calls["workspace_rows"] == [pair_rows]
-        pair_ws = [ws for n, ws in zip(rows, calls["forward_ws"]) if n == pair_rows]
-        assert pair_ws[0] is not None
-        assert all(ws is pair_ws[0] for ws in pair_ws)
+        T, B = cfg.rollout_horizon, cfg.rollouts_per_cycle
+        pair_rows = 2 * cfg.m * T
+        passes = cfg.epochs_per_cycle + 1  # the reference's and each epoch's
+        assert calls["forward_rows"] == [B] * T + [pair_rows] * passes + [B] * T
+        # three workspaces per cycle: each rollout batch runs its forwards in
+        # one that holds only activations, and every pass over the pair rows
+        # runs in the one between them
+        before, pair_ws, after = calls["workspaces"]
+        assert [len(ws.acts[0]) for ws in (before, pair_ws, after)] == [B, pair_rows, B]
+        assert all(ws.deltas is None and ws.dWs is None for ws in (before, after))
+        assert pair_ws.dWs is not None
+        want = [before] * T + [pair_ws] * passes + [after] * T
+        assert len(calls["forward_ws"]) == len(want)
+        assert all(got is ws for got, ws in zip(calls["forward_ws"], want))
