@@ -280,12 +280,14 @@ def cmd_train_surrogate(config, stages, dataset_path):
             if len(col) and not lows[k] <= col.min() <= col.max() <= highs[k]:
                 raise UsageError(f"dataset rows have {name} outside the "
                                  f"configured bounds [{lows[k]}, {highs[k]}]")
+        _check_row_count(data, dataset_path)
     else:
-        train_eps, _ = _split_holdout(
-            _load_episodes(out / "episodes.json", plant_cfg),
-            config["holdout_fraction"])
+        episodes_path = out / "episodes.json"
+        train_eps, _ = _split_holdout(_load_episodes(episodes_path, plant_cfg),
+                                      config["holdout_fraction"])
         data = datagen.generate_transition_arrays(
             train_eps, _param_sets(stages), plant_cfg)
+        _check_row_count(data, f"the training split of {episodes_path}")
         artifacts["dataset"] = out / "dataset.jsonl"
         serialize.write_dataset(artifacts["dataset"], data, plant_cfg.n_joints)
     model = surrogate.init(
@@ -306,6 +308,14 @@ def cmd_train_surrogate(config, stages, dataset_path):
     return {**artifacts, "norm_stats": out / "norm_stats.json",
             "checkpoint": out / "checkpoint.json",
             "loss_curve": out / "train_loss.csv"}
+
+
+def _check_row_count(data, source):
+    """Fewer than the two rows the normalization statistics need, read from
+    a dataset file or built from episodes, are a usage error."""
+    if len(data) < 2:
+        raise UsageError(f"{source}: {len(data)} training row, and the "
+                         "normalization statistics need at least 2")
 
 
 def _split_holdout(episodes, fraction):

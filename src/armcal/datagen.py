@@ -157,23 +157,27 @@ def teacher_forced_next(params_fpd, q, qd, targets, cfg: PlantConfig):
 
 
 def generate_transition_arrays(episodes: EpisodeSet, param_sets, cfg: PlantConfig):
-    """Flattened dataset: for every (episode step, parameter set) pair, the
+    """Flattened dataset: for every (parameter set, episode step) pair, the
     record (params | state | action | next_state) as one row of a matrix.
 
-    Row order: parameter set major, episode step minor.
+    Row order: parameter set major, episode step minor. The matrix is
+    allocated once and filled one parameter set's M rows at a time, with one
+    teacher_forced_next call over those rows, so that the call holds little
+    besides the matrix it returns.
     """
     if not episodes.episodes or not param_sets:
         raise ValueError("episodes and param_sets must be non-empty")
     q, qd, acts, _, _ = episode_arrays(episodes)
-    m = len(q)
-    k = len(param_sets)
-    fpd = np.array([p.as_array() for p in param_sets])
-    fpd_rows = np.repeat(fpd, m, axis=0)
-    q_rows = np.tile(q, (k, 1))
-    qd_rows = np.tile(qd, (k, 1))
-    act_rows = np.tile(acts, (k, 1))
-    nq, nqd = teacher_forced_next(fpd_rows, q_rows, qd_rows, act_rows, cfg)
-    return np.hstack([fpd_rows, q_rows, qd_rows, act_rows, nq, nqd])
+    m, n = q.shape
+    state_sa = np.hstack([q, qd, acts])
+    data = np.empty((len(param_sets) * m, 3 + 5 * n))
+    for k, params in enumerate(param_sets):
+        rows = data[k * m:(k + 1) * m]
+        rows[:, :3] = params.as_array()
+        rows[:, 3:3 + 3 * n] = state_sa
+        rows[:, 3 + 3 * n:3 + 4 * n], rows[:, 3 + 4 * n:] = teacher_forced_next(
+            rows[:, :3], q, qd, acts, cfg)
+    return data
 
 
 def compute_norm_stats(data) -> NormStats:

@@ -217,39 +217,42 @@ def train(model: MlpCheckpoint, data, cfg: TrainConfig) -> MlpCheckpoint:
     """Mini-batch Adam on the normalized squared-error loss over the rows of
     the (M, 3 + 5N) transition matrix `data`; model.norm_stats must be set.
 
-    The step size decays by LR_DECAY per epoch, whatever max_epochs is.
-    Runs max_epochs epochs; training_meta["stop_reason"] is "max_epochs".
-    Deterministic under cfg.seed.
+    Each minibatch gathers its rows of `data`, which is only read, and
+    normalizes them on its own, so training holds no normalized copy of the
+    matrix. The step size decays by LR_DECAY per epoch, whatever max_epochs
+    is. Runs max_epochs epochs; training_meta["stop_reason"] is
+    "max_epochs". Deterministic under cfg.seed.
     """
     if len(data) < 1:
         raise ValueError("empty training dataset")
     n = model.n_joints
-    X = build_input(model, data[:, :3], data[:, 3:3 + 3 * n])
-    Y = _targets(model, data[:, 3:3 + 3 * n], data[:, 3 + 3 * n:])
+    sa, nx = slice(3, 3 + 3 * n), slice(3 + 3 * n, None)
 
     rng = np.random.default_rng(cfg.seed)
     arrays = model.weights + model.biases
     m = [np.zeros_like(a) for a in arrays]
     v = [np.zeros_like(a) for a in arrays]
-    ws = workspace(model.layer_dims, min(cfg.batch_size, len(X)))
+    ws = workspace(model.layer_dims, min(cfg.batch_size, len(data)))
     t = 0
     history = []
     for epoch in range(cfg.max_epochs):
         lr = cfg.learning_rate * LR_DECAY ** epoch
-        order = rng.permutation(len(X))
+        order = rng.permutation(len(data))
         losses = 0.0
-        for start in range(0, len(X), cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
+        for start in range(0, len(data), cfg.batch_size):
+            rows = data[order[start:start + cfg.batch_size]]
+            X = build_input(model, rows[:, :3], rows[:, sa])
+            Y = _targets(model, rows[:, sa], rows[:, nx])
             # a diverging run overflows before its loss turns non-finite;
             # the isfinite check below reports it
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, dWs, dbs, _ = backprop(model, X[idx], Y[idx], ws=ws)
+                loss, dWs, dbs, _ = backprop(model, X, Y, ws=ws)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, loss)
-            losses += loss * len(idx)
+            losses += loss * len(rows)
             t += 1
             adam_step(arrays, dWs + dbs, m, v, t, lr)
-        history.append(losses / len(X))
+        history.append(losses / len(data))
     model.training_meta = {
         "epochs_run": len(history),
         "final_loss": history[-1],

@@ -323,6 +323,32 @@ class TestTrainSurrogate:
         assert "f outside the configured bounds" in capsys.readouterr().err
         assert not (b / "checkpoint.json").exists()
 
+    def test_one_row_dataset_is_a_usage_error(self, tmp_path, capsys):
+        # the normalization statistics need two rows; one is an input error
+        # that names the file, and no artifact is written
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(a, "datagen") == 0
+        assert run(a, "train-surrogate") == 0
+        one_line = tmp_path / "one-line.jsonl"
+        one_line.write_text((a / "dataset.jsonl").read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        assert run(b, "train-surrogate", "--dataset", str(one_line)) == 2
+        assert f"{one_line}: 1 training row" in capsys.readouterr().err
+        assert list(b.iterdir()) == []
+
+    def test_one_row_training_split_is_a_usage_error(self, tmp_path, capsys):
+        # one episode of one step fits, under one parameter set: one row
+        one_row = ["--set", "datagen.n_episodes=2", "--set", "datagen.horizon=1",
+                   "--set", "datagen.n_param_sets=1"]
+        assert run(tmp_path, *one_row, "datagen") == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert run(tmp_path, *one_row, "train-surrogate") == 2
+        err = capsys.readouterr().err
+        assert f"training split of {tmp_path / 'episodes.json'}: 1 training row" \
+            in err, err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_rows_come_from_the_training_split(self, tmp_path):
         assert run(tmp_path, "datagen") == 0
         assert run(tmp_path, "train-surrogate") == 0

@@ -1,5 +1,8 @@
 """Tests for transition-dataset construction and normalization statistics."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,6 +195,61 @@ class TestDatasetGeneration:
             generate_transition_arrays(EpisodeSet(()), sample_params(1, BOUNDS, 0), CFG)
         with pytest.raises(ValueError):
             generate_transition_arrays(eps, [], CFG)
+
+
+def mixed_horizon_episodes():
+    """Five episodes of horizons 1, 1, 9, 30 and 30 on a 3-joint plant, the
+    last two noisy."""
+    cfg = PlantConfig(n_joints=3)
+    truth = PhysParams(3.0, 150.0, 8.0)
+    parts = (make_synthetic_real(truth, 2, 1, cfg, 4),
+             make_synthetic_real(truth, 1, 9, cfg, 5),
+             make_synthetic_real(truth, 2, 30,
+                                 PlantConfig(n_joints=3, obs_noise_std=1e-3), 6))
+    return EpisodeSet(sum((p.episodes for p in parts), ())), cfg
+
+
+class TestTransitionBits:
+    """generate_transition_arrays' rows pinned bit for bit: sha256 of the
+    matrix and its shape, for 12,000 rows of 2-joint 50-step episodes and
+    for 3-joint episodes of mixed horizons. The digests hold for the numpy
+    build the tests run on; another tanh implementation may change them."""
+
+    DIGESTS = {
+        "uniform": "42656cc83c90a0ce8783f1e7e5117213c12d0b14a6c7964623fdc4f00a139c08",
+        "mixed": "27404aacf63a473de794c99ca34199cb592d190785b709243d26f96284a79ba2",
+    }
+
+    @staticmethod
+    def case(name):
+        if name == "uniform":
+            eps = make_synthetic_real(PhysParams(5.0, 300.0, 20.0), 6, 50, CFG, 21)
+            return generate_transition_arrays(eps, sample_params(40, BOUNDS, 22),
+                                              CFG)
+        eps, cfg = mixed_horizon_episodes()
+        return generate_transition_arrays(eps, sample_params(7, BOUNDS, 23), cfg)
+
+    @pytest.mark.parametrize("name", ["uniform", "mixed"])
+    def test_pinned_digests(self, name):
+        data = self.case(name)
+        h = hashlib.sha256(repr(data.shape).encode())
+        h.update(np.ascontiguousarray(data).tobytes())
+        assert h.hexdigest() == self.DIGESTS[name]
+
+    def test_peak_memory_is_the_output(self):
+        # one parameter set's rows at a time: above its entry the call
+        # holds little besides the 50,000-row matrix it returns
+        eps = make_synthetic_real(PhysParams(5.0, 300.0, 20.0), 20, 50, CFG, 31)
+        param_sets = sample_params(50, BOUNDS, 32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            data = generate_transition_arrays(eps, param_sets, CFG)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert data.shape == (50_000, 3 + 5 * CFG.n_joints)
+        assert peak < 1.1 * data.nbytes
 
 
 class TestNormStats:

@@ -1,6 +1,9 @@
 """Tests for the MLP surrogate: forward math, exact gradients vs central
 finite differences, training behavior, and the input-normalization pipeline."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -502,6 +505,45 @@ class TestTraining:
         assert model.training_meta["loss_history"] == history
         for a, b in zip(model.weights + model.biases, arrays):
             assert np.array_equal(a, b)
+
+    # sha256 of the weights, biases and loss history after
+    # test_pinned_digest's run; they hold for the numpy and BLAS build the
+    # tests run on, whose matmul kernels fix the sums' order
+    TRAIN_DIGEST = "62d21507ee9aba1139f6c88af64c136a1f6e446d70450843b6b3f0cda2e3500c"
+
+    def test_pinned_digest(self):
+        # four epochs of 200 rows in batches of 64, the last one short
+        data = self.small_dataset()
+        before = data.copy()
+        model = init(default_layer_dims(N, hidden=8), 4,
+                     norm_stats=compute_norm_stats(data), bounds=BOUNDS)
+        model = train(model, data, TrainConfig(batch_size=64, max_epochs=4,
+                                               seed=3))
+        h = hashlib.sha256()
+        for a in model.weights + model.biases:
+            h.update(a.tobytes())
+        h.update(np.array(model.training_meta["loss_history"]).tobytes())
+        assert h.hexdigest() == self.TRAIN_DIGEST
+        assert data.tobytes() == before.tobytes()  # the rows are only read
+
+    def test_peak_memory_is_a_fraction_of_the_rows(self):
+        # each minibatch is normalized on its own: above its entry, training
+        # holds one epoch's order and a batch-sized workspace, not a
+        # normalized copy of the 50,000 rows
+        cfg = PlantConfig()
+        eps = make_synthetic_real(PhysParams(5.0, 300.0, 20.0), 20, 50, cfg, 31)
+        data = generate_transition_arrays(eps, sample_params(50, BOUNDS, 32), cfg)
+        assert len(data) == 50_000
+        model = init(default_layer_dims(N, hidden=16), 0,
+                     norm_stats=compute_norm_stats(data), bounds=BOUNDS)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train(model, data, TrainConfig(max_epochs=1, seed=0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * data.nbytes
 
     def test_train_builds_one_workspace_per_call(self, monkeypatch):
         # a regression to fresh arrays on every minibatch changes these
