@@ -16,6 +16,7 @@ from .plant import ParamBounds, PhysParams, PlantConfig, rollout_batch, step_bat
 
 EXCITATION_HOLD_STEPS = 10
 STD_FLOOR = 1e-8
+NORM_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -181,9 +182,25 @@ def generate_transition_arrays(episodes: EpisodeSet, param_sets, cfg: PlantConfi
 
 
 def compute_norm_stats(data) -> NormStats:
-    """Population mean/std per dimension of the (M, 3 + 5N) record matrix."""
+    """Population mean/std per dimension of the (M, 3 + 5N) record matrix,
+    holding no array of its size.
+
+    The squared deviations are summed NORM_BLOCK_ROWS rows at a time, each
+    block reduced with the running sum stacked as its first row. That adds
+    the rows one after another, as numpy's reduction over the first axis of
+    a C-ordered matrix of two or more columns does, so std is bit for bit
+    np.maximum(data.std(axis=0), STD_FLOOR); adding per-block sums together
+    would not be.
+    """
     if len(data) < 2:
         raise ValueError("need at least 2 records for normalization statistics")
     mean = data.mean(axis=0)
-    std = np.maximum(data.std(axis=0), STD_FLOOR)
+    # row 0: the running sum; rows 1..: one block's squared deviations
+    buf = np.zeros((min(len(data), NORM_BLOCK_ROWS) + 1, data.shape[1]))
+    for start in range(0, len(data), NORM_BLOCK_ROWS):
+        block = data[start:start + NORM_BLOCK_ROWS]
+        sq = buf[1:len(block) + 1]
+        np.square(np.subtract(block, mean, out=sq), out=sq)
+        buf[0] = np.add.reduce(buf[:len(block) + 1], axis=0)
+    std = np.maximum(np.sqrt(buf[0] / len(data)), STD_FLOOR)
     return NormStats(mean, std)

@@ -11,6 +11,7 @@ import json
 import re
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +349,24 @@ class TestTrainSurrogate:
         assert f"training split of {tmp_path / 'episodes.json'}: 1 training row" \
             in err, err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_peak_memory_is_about_the_matrix(self, tmp_path):
+        # at 200 parameter sets the (parameter set x episode step) matrix
+        # outweighs everything else the command holds: it is held once, and
+        # no temporary of its size sits beside it
+        scale = ["--out", str(tmp_path), "--set", "datagen.n_param_sets=200",
+                 "--set", "surrogate.max_epochs=1",
+                 "--set", "surrogate.hidden_width=16"]
+        assert main([*scale, "datagen"]) == 0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main([*scale, "train-surrogate"]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        matrix = serialize.read_dataset(tmp_path / "dataset.jsonl")
+        assert peak < 1.5 * matrix.nbytes
 
     def test_rows_come_from_the_training_split(self, tmp_path):
         assert run(tmp_path, "datagen") == 0

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from armcal.datagen import (EXCITATION_HOLD_STEPS, STD_FLOOR, DatagenConfig,
-                            Episode, EpisodeSet, NormStats, compute_norm_stats,
+from armcal.datagen import (EXCITATION_HOLD_STEPS, NORM_BLOCK_ROWS, STD_FLOOR,
+                            DatagenConfig, Episode, EpisodeSet, NormStats,
+                            compute_norm_stats,
                             episode_arrays, excitation_actions,
                             generate_transition_arrays, make_synthetic_real,
                             sample_params, teacher_forced_next)
@@ -252,7 +253,47 @@ class TestTransitionBits:
         assert peak < 1.1 * data.nbytes
 
 
+def offset_rows(m, width):
+    """An (m, width) matrix whose columns sit at large offsets and spread over
+    six orders of magnitude: the order in which its squared deviations are
+    added changes the bits of its std."""
+    rng = np.random.default_rng([m, width])
+    return (rng.normal(size=(m, width)) * 10.0 ** rng.uniform(-3.0, 3.0, width)
+            + 10.0 ** rng.uniform(0.0, 6.0, width))
+
+
 class TestNormStats:
+    B = NORM_BLOCK_ROWS
+
+    @pytest.mark.parametrize("m", [2, B - 1, B, B + 1, 3 * B + 5, 37_500])
+    @pytest.mark.parametrize("n_joints", [1, 2, 3])
+    def test_bits_of_numpy_moments(self, m, n_joints):
+        data = offset_rows(m, 3 + 5 * n_joints)
+        std = np.maximum(data.std(axis=0), STD_FLOOR)
+        if m == 37_500:
+            # the bits are a property of the order of the sum: adding up
+            # per-block sums of the squared deviations, in place of carrying
+            # one sum through the blocks, moves the std of these rows
+            mean = data.mean(axis=0)
+            ssq = sum(np.square(data[s:s + self.B] - mean).sum(axis=0)
+                      for s in range(0, m, self.B))
+            assert np.sqrt(ssq / m).tobytes() != std.tobytes()
+        stats = compute_norm_stats(data)
+        assert stats.mean.tobytes() == data.mean(axis=0).tobytes()
+        assert stats.std.tobytes() == std.tobytes()
+
+    def test_peak_memory_is_a_fraction_of_the_data(self):
+        # no temporary of the matrix's size, as data.std(axis=0) makes
+        data = offset_rows(37_500, 13)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            compute_norm_stats(data)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * data.nbytes
+
     def test_matches_population_moments(self):
         rng = np.random.default_rng(0)
         data = rng.normal(3.0, 2.0, (500, 13))
